@@ -147,7 +147,6 @@ impl CacheModel {
     /// * `seq` is a monotonically increasing access sequence number; it is
     ///   forwarded to the engine (Belady's OPT keys its oracle on it).
     pub fn access(&mut self, line: LineAddr, write: bool, seq: u64) -> AccessResult {
-        mlpsim_telemetry::prof_scope!(Tagstore);
         match self.tags.probe(line) {
             Some(way) => {
                 let cost = self.tags.cost_q_of(line);

@@ -389,7 +389,6 @@ impl<P: Probe> System<P> {
 
     /// Dispatches one memory instruction.
     fn dispatch_memory(&mut self, a: &Access) {
-        mlpsim_telemetry::prof_scope!(CpuDispatch);
         self.fetch_one();
         self.ensure_dispatch_slot();
         let is_store = a.kind == AccessKind::Store;
@@ -796,15 +795,6 @@ impl<P: Probe> System<P> {
 
     /// Moves time to `t`: services fills due by then, retires, samples.
     fn advance_to(&mut self, t: u64) {
-        // Profiler builds only: advance is called on every cycle bump but
-        // only does real work when the window head retires or a fill is
-        // due — scope those calls, not the time-keeping no-ops, so the
-        // closed-gate scope count stays inside the ≤2% envelope.
-        #[cfg(feature = "prof")]
-        let _advance_scope = (mlpsim_telemetry::prof::is_enabled()
-            && (self.window.head_ready_by(t)
-                || self.mshr.next_completion().is_some_and(|(_, d)| d <= t)))
-        .then(|| mlpsim_telemetry::prof::scope(mlpsim_telemetry::prof::Phase::CpuAdvance));
         debug_assert!(t > self.now, "time must advance");
         self.process_fills_upto(t);
         self.now = t;
@@ -821,22 +811,6 @@ impl<P: Probe> System<P> {
     /// miss is serviced, the mlp_cost field in the MSHR represents the
     /// MLP-based cost of that miss").
     fn process_fills_upto(&mut self, t: u64) {
-        // Profiler builds only: most calls find nothing due (this runs on
-        // every cycle advance), so enter the MSHR phase only when a fill
-        // or squash will actually be serviced — the scope count tracks
-        // real servicing work, not the polling rate.
-        #[cfg(feature = "prof")]
-        if mlpsim_telemetry::prof::is_enabled() {
-            let fill_due = self.mshr.next_completion().is_some_and(|(_, d)| d <= t);
-            let squash_due = self
-                .squashes
-                .peek()
-                .is_some_and(|Reverse((at, _, _, _))| *at <= t);
-            if !fill_due && !squash_due {
-                return;
-            }
-        }
-        mlpsim_telemetry::prof_scope!(Mshr);
         loop {
             // Wrong-path resolutions and fills are interleaved in time
             // order so the CCL's clock stays monotone.

@@ -191,27 +191,6 @@ impl InstructionWindow {
             .then(|| WinEntry::compute(now + 1))
     }
 
-    /// Whether the head exists and completes at or before `t` (the
-    /// profiler's "this advance will actually retire something" probe).
-    pub fn head_ready_by(&self, t: u64) -> bool {
-        if self.len == 0 {
-            return false;
-        }
-        if let Some(&(pos, e)) = self.explicit.front() {
-            if pos == self.popped {
-                return e.done <= t;
-            }
-        }
-        if self.popped >= self.batch_start {
-            // Fresh implicit head: completes at `last_push_cycle + 1`.
-            self.last_push_cycle < t
-        } else {
-            // Older implicit entries completed at or before the batch
-            // cycle itself.
-            self.last_push_cycle <= t
-        }
-    }
-
     /// Retires up to `max` instructions whose completion cycle is at or
     /// before `now`, in order; returns how many retired.
     pub fn retire_ready(&mut self, now: u64, max: u32) -> u32 {

@@ -23,11 +23,7 @@
 //!   attributed-stall split per set, and the reconciliation line against
 //!   `run_end`'s `mem_stall_cycles`,
 //! * a log-bucketed stall-episode-length histogram from `stall_span`
-//!   events,
-//! * a host-side perf section from `perf_phase` events (written by
-//!   prof-built binaries such as `bench_core --telemetry`): per-phase
-//!   call counts and inclusive/exclusive milliseconds of the
-//!   *simulator's* hot loop.
+//!   events.
 //!
 //! With `--traces`, the input is instead a `GET /debug/traces` dump from
 //! `mlpsim-serve`'s flight recorder (`mlpsim-client traces > traces.json`):
@@ -193,8 +189,6 @@ fn main() -> ExitCode {
     let mut run_end_stall: u64 = 0;
     let mut saw_run_end = false;
     let mut episodes = EpisodeHistogram::new();
-    // Host-side profiler phases, in stream order: (name, calls, incl, excl).
-    let mut perf_phases: Vec<(String, u64, u64, u64)> = Vec::new();
 
     for ev in &events {
         ledger.observe(ev);
@@ -291,14 +285,6 @@ fn main() -> ExitCode {
             }
             Event::StallSpan { begin, end, .. } => {
                 episodes.record(end.saturating_sub(*begin));
-            }
-            Event::PerfPhase {
-                name,
-                calls,
-                incl_ns,
-                excl_ns,
-            } => {
-                perf_phases.push((name.clone(), *calls, *incl_ns, *excl_ns));
             }
             _ => {}
         }
@@ -520,33 +506,5 @@ fn main() -> ExitCode {
         );
     }
 
-    // ---- Host-side perf phases (simulator time, not simulated time). ----
-    if perf_phases.is_empty() {
-        println!("\n== Perf phases (host) ==\n(no perf_phase events in stream)");
-    } else {
-        let incl_total: u64 = perf_phases.iter().map(|&(_, _, incl, _)| incl).sum();
-        let excl_total: u64 = perf_phases.iter().map(|&(_, _, _, excl)| excl).sum();
-        let mut t = Table::with_headers(&["phase", "calls", "incl ms", "excl ms", "excl %", ""]);
-        for (name, calls, incl_ns, excl_ns) in &perf_phases {
-            let pct = 100.0 * *excl_ns as f64 / excl_total.max(1) as f64;
-            let bar = "#".repeat((pct / 2.0).round() as usize);
-            t.row(vec![
-                name.clone(),
-                calls.to_string(),
-                format!("{:.2}", *incl_ns as f64 / 1e6),
-                format!("{:.2}", *excl_ns as f64 / 1e6),
-                format!("{pct:.1}"),
-                bar,
-            ]);
-        }
-        println!(
-            "\n== Perf phases (host wall time of the simulator's hot loop; \
-             {:.2} ms exclusive over {} phases, incl total {:.2} ms) ==\n{}",
-            excl_total as f64 / 1e6,
-            perf_phases.len(),
-            incl_total as f64 / 1e6,
-            t.render()
-        );
-    }
     ExitCode::SUCCESS
 }

@@ -38,7 +38,6 @@
 //! | `debug_regions` | (internal) per-region miss diagnosis |
 //! | `debug_phases` | (internal) per-interval policy comparison |
 //! | `all` | runs every experiment (concurrently, output in order) |
-//! | `bench_sweep` | times a reference sweep serial vs parallel → `BENCH_sweep.json` |
 //!
 //! Every sweep-shaped binary accepts `--jobs N` (env `MLPSIM_JOBS`;
 //! default: all hardware threads) and fans its benchmark × policy matrix

@@ -19,8 +19,7 @@
 //!   print the discovery path.
 //! - **D9** — clock taint: values derived from the audited
 //!   `telemetry::prof::now_ns()` host clock must not flow into
-//!   `SimResult` construction or `emit(..)` event payloads
-//!   (`Event::PerfPhase` is the sanctioned carrier). Taint propagates
+//!   `SimResult` construction or `emit(..)` event payloads. Taint propagates
 //!   through lets, arithmetic, field/tuple composition, and workspace
 //!   call returns (a fixpoint over per-fn return summaries).
 //! - **D10** — concurrency-order audit: (a) per atomic cell in the
@@ -708,12 +707,11 @@ impl D9Scan<'_, '_> {
                 }
                 if name == "emit" {
                     for (a, &t) in args.iter().zip(&arg_taints) {
-                        if t && !mentions_perf_phase(a) {
+                        if t {
                             self.report(
                                 a.line,
                                 "host-clock (prof::now_ns) derived value flows into an \
-                                 event payload; Event::PerfPhase is the only sanctioned \
-                                 carrier of host time",
+                                 event payload; simulation events must not carry host time",
                             );
                         }
                     }
@@ -911,18 +909,6 @@ impl D9Scan<'_, '_> {
             });
         }
     }
-}
-
-/// Whether an expression mentions `PerfPhase` anywhere (the sanctioned
-/// host-time event variant).
-fn mentions_perf_phase(e: &Expr) -> bool {
-    let mut found = false;
-    crate::ast::walk_expr(e, &mut |x| match &x.kind {
-        ExprKind::Path(p) => found |= p.iter().any(|s| s == "PerfPhase"),
-        ExprKind::StructLit { path, .. } => found |= path.iter().any(|s| s == "PerfPhase"),
-        _ => {}
-    });
-    found
 }
 
 // ---------------------------------------------------------------------------
@@ -1634,7 +1620,9 @@ pub fn record(bus: &EventBus) {
     }
 
     #[test]
-    fn d9_perf_phase_events_are_exempt() {
+    fn d9_host_time_in_any_event_variant_is_flagged() {
+        // No event variant is a sanctioned carrier of host time, not even
+        // one that exists only to report it.
         let r = run(vec![file(
             "telemetry",
             "stamp.rs",
@@ -1643,11 +1631,11 @@ pub fn record(bus: &EventBus) {
 }
 
 pub fn record(bus: &EventBus) {
-    bus.emit(Event::PerfPhase { wall_ns: now_ns() });
+    bus.emit(Event::HostTime { wall_ns: now_ns() });
 }
 "#,
         )]);
-        assert_eq!(lines_for(&r, RuleId::D9), Vec::<u32>::new());
+        assert_eq!(lines_for(&r, RuleId::D9), vec![6]);
     }
 
     #[test]

@@ -155,14 +155,13 @@ must parse — a parse error fails the run):
       call path is printed with each finding.
 
   D9  no value derived from the audited telemetry::prof::now_ns() clock
-      may flow into SimResult construction or simulation event payloads
-      (Event::PerfPhase, the host-time observability event, is the one
-      sanctioned carrier). Taint propagates through lets, arithmetic,
+      may flow into SimResult construction or simulation event payloads.
+      Taint propagates through lets, arithmetic,
       field reads, and workspace call returns. Host time in simulation
       output is what the determinism CI exists to catch.
 
   D10 concurrency-order audit, two parts. (a) Atomics: per telemetry/
-      prof atomic cell, release-class stores (Release/AcqRel/SeqCst)
+      serve atomic cell, release-class stores (Release/AcqRel/SeqCst)
       must not pair with all-Relaxed loads, and vice versa — a
       mismatched pair is either a missing fence or a pointless one.
       (b) Locks: no two serve-crate Mutexes acquired in opposite

@@ -63,8 +63,7 @@ const RULES: &[(RuleId, &str)] = &[
     (
         RuleId::D9,
         "Values derived from the prof::now_ns() host clock must not flow into \
-         SimResult or simulation event payloads; Event::PerfPhase is the sanctioned \
-         carrier.",
+         SimResult or simulation event payloads.",
     ),
     (
         RuleId::D10,

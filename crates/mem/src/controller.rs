@@ -64,7 +64,6 @@ impl MemorySystem {
     /// Issues a demand fill for `line` at cycle `now`; returns the cycle
     /// the line arrives at the cache.
     pub fn request_fill(&mut self, line: LineAddr, now: u64) -> u64 {
-        mlpsim_telemetry::prof_scope!(Dram);
         let data_ready = self.dram.schedule(line, now);
         let done = self.bus.schedule_transfer(data_ready);
         self.stats_fills += 1;

@@ -11,7 +11,7 @@ use crate::metrics::{self, Histograms};
 use mlpsim_exec::CancelToken;
 use mlpsim_experiments::jobspec::JobSpec;
 use mlpsim_telemetry::prof;
-use mlpsim_telemetry::trace::{CompletedTrace, FlightRecorder, TraceCtx};
+use mlpsim_telemetry::trace::{CompletedTrace, FlightRecorder, SpanGuard, TraceCtx};
 use mlpsim_telemetry::{Event, EventSink, Json, Registry};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -242,17 +242,20 @@ impl State {
         result_path(&self.data_dir, id)
     }
 
-    /// Admit a job: journal the submit write-ahead, then enqueue. With a
-    /// `trace` (the admitting request's context, parented wherever the
-    /// caller wants the `journal_append` span), the job *adopts* the
-    /// trace: the request handler must not finish it — the trace runs
-    /// until the job reaches a terminal state, so its root span covers
-    /// accept → terminal and the `queue_wait`/`run` phases land inside.
+    /// Admit a job: journal the submit write-ahead, then enqueue. With an
+    /// `admission` span (the admitting request's, under which the
+    /// `journal_append` span nests), the job *adopts* the trace: the
+    /// request handler must not finish it — the trace runs until the job
+    /// reaches a terminal state, so its root span covers accept → terminal
+    /// and the `queue_wait`/`run` phases land inside. The admission span
+    /// closes here, before the job is queued, so `queue_wait` starts where
+    /// it ends and the root's children never overlap.
     ///
     /// # Errors
     ///
     /// [`SubmitError`] when draining, at capacity, or unjournalable.
-    pub fn submit(&self, spec: JobSpec, trace: Option<&TraceCtx>) -> Result<u64, SubmitError> {
+    pub fn submit(&self, spec: JobSpec, admission: Option<SpanGuard>) -> Result<u64, SubmitError> {
+        let trace = admission.as_ref().map(SpanGuard::ctx);
         let mut inner = lock(&self.inner);
         if inner.draining {
             self.count("jobs_rejected_total");
@@ -269,7 +272,7 @@ impl State {
                     id,
                     spec: spec.to_json(),
                 },
-                trace,
+                trace.as_ref(),
             )
             .map_err(|e| SubmitError::Journal(e.to_string()))?;
         inner.next_id += 1;
@@ -280,6 +283,7 @@ impl State {
             ctx.adopt();
             ctx.at_root()
         });
+        drop(admission);
         inner.jobs.insert(
             id,
             Job {
@@ -303,7 +307,8 @@ impl State {
     /// Scheduler side: block for the next queued job, journal its start,
     /// mark it running, and hand back what the executor needs — including
     /// the job's adopted trace, on which the measured `queue_wait` span is
-    /// recorded here (submit-time to now, root-parented). Returns `None`
+    /// recorded here (submit-time to dequeue, root-parented; the start's
+    /// `journal_append` follows it as a sibling). Returns `None`
     /// once the server is draining (queued jobs stay journaled for the
     /// next boot).
     #[allow(clippy::type_complexity)]
@@ -320,6 +325,7 @@ impl State {
                     continue; // cancelled-while-queued already removed it
                 };
                 let trace = job.trace.clone();
+                let taken_ns = prof::now_ns();
                 let start =
                     lock(&self.journal).append_traced(&JournalOp::Start { id }, trace.as_ref());
                 if let Err(e) = start {
@@ -339,7 +345,7 @@ impl State {
                         "queue_wait",
                         ctx.parent,
                         job.submitted_ns,
-                        prof::now_ns(),
+                        taken_ns,
                         Vec::new(),
                     );
                 }

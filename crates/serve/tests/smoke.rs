@@ -359,6 +359,35 @@ fn injected_traceparent_propagates_to_the_flight_recorder() {
         (0.0..=100.0).contains(&residue),
         "residue {residue}% out of range"
     );
+    // The root's direct children never double-book wall time: sorted by
+    // start, each one ends before the next begins (times are floored to
+    // whole microseconds, which keeps disjoint spans disjoint).
+    let field = |s: &Json, k: &str| s.get(k).and_then(Json::as_str).map(str::to_string);
+    let root_id = spans
+        .iter()
+        .find(|s| s.get("name").and_then(Json::as_str) == Some("request"))
+        .and_then(|s| field(s, "id"))
+        .expect("root span has an id");
+    let mut children: Vec<(String, u64, u64)> = spans
+        .iter()
+        .filter(|s| field(s, "parent").as_deref() == Some(root_id.as_str()))
+        .map(|s| {
+            let name = field(s, "name").unwrap_or_default();
+            let start = s.get("start_us").and_then(Json::as_u64).expect("start_us");
+            let dur = s.get("dur_us").and_then(Json::as_u64).expect("dur_us");
+            (name, start, start + dur)
+        })
+        .collect();
+    children.sort_by_key(|&(_, start, _)| start);
+    for pair in children.windows(2) {
+        let ((a, _, a_end), (b, b_start, _)) = (&pair[0], &pair[1]);
+        assert!(
+            a_end <= b_start,
+            "root children overlap: {a:?} ends at {a_end} us after {b:?} starts at {b_start} us \
+             in {children:?}"
+        );
+    }
+
     let root_dur = doc.get("dur_us").and_then(Json::as_u64).expect("dur_us");
     for s in spans {
         let d = s.get("dur_us").and_then(Json::as_u64).unwrap_or(0);

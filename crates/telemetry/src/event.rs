@@ -287,10 +287,6 @@ events! {
     TraceGen = "trace_gen" { bench: String, accesses: u64, seed: u64 }
     /// tracetool: summary statistics of a trace.
     TraceSummary = "trace_summary" { bench: String, accesses: u64, unique_lines: u64 }
-    /// Host-side profiler totals for one phase of the simulator's hot
-    /// loop (`telemetry::prof`); emitted by prof-built binaries so
-    /// `telemetry-report` can render the phase tree.
-    PerfPhase = "perf_phase" { name: String, calls: u64, incl_ns: u64, excl_ns: u64 }
     /// Sweep planner (`--plan estimate`): one matrix cell's analytical
     /// score — predicted miss rate with its stated error band, the
     /// predicted miss-rate delta vs the incumbent policy, and the prune
@@ -459,12 +455,6 @@ mod tests {
                 bench: "ammp-like".into(),
                 accesses: 420_000,
                 unique_lines: 30_000,
-            },
-            Event::PerfPhase {
-                name: "tagstore".into(),
-                calls: 420_000,
-                incl_ns: 9_000_000,
-                excl_ns: 7_500_000,
             },
             Event::PlanCell {
                 bench: "mcf".into(),

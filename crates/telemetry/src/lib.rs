@@ -37,10 +37,9 @@
 //! interval form. [`traceevent`] renders MSHR slot occupancy and stall
 //! spans as Chrome trace-event JSON for `chrome://tracing`/Perfetto.
 //!
-//! A third, host-facing layer is the [`prof`] phase profiler: scoped
-//! timers over the *simulator's* hot loop (dispatch, tagstore, MSHR,
-//! DRAM, telemetry emission), compiled away entirely unless the call
-//! site's crate enables its `prof` cargo feature.
+//! Host time has exactly one entry point, the [`prof::now_ns`] clock
+//! shim; per-layer host timing of the simulator is `perfbench`'s traced
+//! run.
 
 pub mod attrib;
 pub mod event;
@@ -57,7 +56,6 @@ pub use attrib::{exact_share, LedgerKey, StallLedger};
 pub use event::Event;
 pub use json::Json;
 pub use probe::{NoProbe, Probe, SinkProbe};
-pub use prof::{Phase, PhaseReport};
 pub use registry::Registry;
 pub use sink::{read_ndjson, EventSink, FanoutSink, NdjsonSink, SinkHandle, VecSink};
 pub use span::Span;

@@ -16,8 +16,8 @@ use crate::sink::SinkHandle;
 ///
 /// With [`NoProbe`], `P::ENABLED` is the constant `false`, so the branch —
 /// including the event construction inside it — is statically dead and
-/// removed during monomorphization. `crates/bench/benches/policy_overheads.rs`
-/// holds the regression check (< 2% vs. an uninstrumented baseline).
+/// removed during monomorphization. `crates/cpu/tests/probe_overhead.rs`
+/// holds the regression check (≤ 2% vs. a runtime-disabled probe).
 pub trait Probe {
     /// Statically known enablement; gate every `emit` call on this.
     const ENABLED: bool;

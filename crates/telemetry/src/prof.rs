@@ -1,128 +1,17 @@
-//! Hierarchical phase profiler for the *simulator* (not the simulated
-//! machine).
-//!
-//! Event telemetry ([`crate::probe`]) and stall attribution explain where
-//! the simulated machine's cycles go; this module explains where the host's
-//! nanoseconds go, phase by phase, so ROADMAP item 1 ("10× the core loop")
-//! has a measured baseline instead of a hunch. The design follows the same
-//! two-tier discipline as [`Probe`](crate::probe::Probe):
-//!
-//! - **Compile-time tier**: the [`prof_scope!`] macro expands to *nothing*
-//!   unless the crate containing the call site is built with its `prof`
-//!   cargo feature. The default build carries zero instructions and zero
-//!   data — simulation output is byte-identical (the parallel-determinism
-//!   CI job diffs it).
-//! - **Runtime tier**: with `prof` compiled in, scopes are gated on one
-//!   relaxed atomic load ([`enable`]/[`disable`]). `bench_core` asserts the
-//!   gate-closed residue stays under 2% of a run (the same envelope style
-//!   as `policy_overheads.rs`).
-//!
-//! Accounting is hierarchical: each scope records *inclusive* wall
-//! nanoseconds; a thread-local stack subtracts time spent in nested scopes
-//! to produce *exclusive* time, so the per-phase exclusive times sum to at
-//! most the wall time of the outermost scopes.
-//!
-//! Scope drops never touch shared memory directly: each thread batches its
-//! counts in a thread-local pending table and folds that into the global
-//! atomics only at coarse boundaries — every [`FOLD_THRESHOLD`] completed
-//! scopes (checked when the scope stack empties), on thread exit, and on
-//! [`report`]/[`reset`] for the calling thread. The hot path is therefore
-//! three plain adds instead of three contended `fetch_add`s, which is what
-//! keeps the gate-open overhead within the envelope `bench_core --validate`
-//! asserts. Phases still aggregate across worker threads in `-j N` sweeps:
-//! workers fold on exit, before the parent reports.
+//! The audited host clock shim.
 //!
 //! The only sanctioned wall-clock read in the core crates is [`now_ns`]
 //! below — lint rule D2 audits every other `Instant`/`SystemTime` mention
-//! in `cache`/`core`/`mem`/`cpu`/`exec`/`trace`/`telemetry`. The profiler
-//! reads time but never feeds it back into the simulation, which is what
-//! keeps determinism intact.
+//! in `cache`/`core`/`mem`/`cpu`/`exec`/`trace`/`telemetry`, and rule D9
+//! keeps values derived from it out of simulation results and event
+//! payloads. Host time is read here but never fed back into the
+//! simulation, which is what keeps determinism intact. Per-layer host
+//! timing of the simulator lives in `perfbench`'s traced run
+//! (`perfbench --trace 1`, DESIGN.md §13).
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 // lint: allow(D2, "prof clock shim: the audited wall-clock import (DESIGN.md §13)")
 use std::time::Instant;
-
-/// Phases of the core cycle loop, in hot-path order.
-///
-/// The names are part of the `BENCH_core.json` schema — renaming one is a
-/// schema change and breaks the PR-over-PR trajectory diff.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Phase {
-    /// Trace-side dispatch: window occupancy, gap instructions, issuing
-    /// one memory access into the pipeline.
-    CpuDispatch = 0,
-    /// Advancing simulated time: retiring ready instructions and draining
-    /// the window.
-    CpuAdvance = 1,
-    /// Tagstore lookup and victim selection (`CacheModel::access`).
-    Tagstore = 2,
-    /// MSHR fill servicing: popping completed fills, releasing slots,
-    /// charging mlp-cost.
-    Mshr = 3,
-    /// DRAM bank + bus scheduling (`MemorySystem::request_fill`).
-    Dram = 4,
-    /// Telemetry emission itself (`SinkHandle::emit` with a live sink).
-    TelemetryEmit = 5,
-}
-
-/// Number of entries in [`Phase`]; the accumulator table is this long.
-pub const PHASE_COUNT: usize = 6;
-
-const PHASE_NAMES: [&str; PHASE_COUNT] = [
-    "cpu_dispatch",
-    "cpu_advance",
-    "tagstore",
-    "mshr",
-    "dram",
-    "telemetry_emit",
-];
-
-impl Phase {
-    /// Stable schema name of the phase.
-    pub fn name(self) -> &'static str {
-        PHASE_NAMES[self as usize]
-    }
-
-    /// All phases, in table order.
-    pub fn all() -> [Phase; PHASE_COUNT] {
-        [
-            Phase::CpuDispatch,
-            Phase::CpuAdvance,
-            Phase::Tagstore,
-            Phase::Mshr,
-            Phase::Dram,
-            Phase::TelemetryEmit,
-        ]
-    }
-}
-
-struct Slot {
-    calls: AtomicU64,
-    incl_ns: AtomicU64,
-    excl_ns: AtomicU64,
-}
-
-static STATS: [Slot; PHASE_COUNT] = [const {
-    Slot {
-        calls: AtomicU64::new(0),
-        incl_ns: AtomicU64::new(0),
-        excl_ns: AtomicU64::new(0),
-    }
-}; PHASE_COUNT];
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Completed scopes a thread accumulates locally before folding them into
-/// the global table (the fold also happens on thread exit and on
-/// [`report`]/[`reset`] from the owning thread). Folds only trigger when
-/// the scope stack is empty, so a fold never splits a nested measurement.
-pub const FOLD_THRESHOLD: u64 = 4096;
-
-/// Bumped by [`reset`] so pending counts batched before the reset are
-/// discarded instead of folded into the freshly zeroed table.
-static GENERATION: AtomicU64 = AtomicU64::new(0);
 
 // lint: allow(D2, "prof clock shim epoch: compared only against itself, never fed into simulation")
 static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -138,380 +27,14 @@ pub fn now_ns() -> u64 {
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-struct Frame {
-    phase: usize,
-    start_ns: u64,
-    child_ns: u64,
-}
-
-/// Per-thread profiler state: the scope stack plus the pending
-/// `[calls, incl_ns, excl_ns]` batch awaiting a fold into [`STATS`].
-struct Local {
-    stack: Vec<Frame>,
-    pending: [[u64; 3]; PHASE_COUNT],
-    pending_calls: u64,
-    generation: u64,
-}
-
-impl Local {
-    const fn new() -> Self {
-        Local {
-            stack: Vec::new(),
-            pending: [[0; 3]; PHASE_COUNT],
-            pending_calls: 0,
-            generation: 0,
-        }
-    }
-
-    /// Discards the pending batch if a [`reset`] happened since it started
-    /// accumulating (those counts belong to the zeroed-out epoch).
-    fn sync_generation(&mut self) {
-        let generation = GENERATION.load(Ordering::Relaxed);
-        if self.generation != generation {
-            self.pending = [[0; 3]; PHASE_COUNT];
-            self.pending_calls = 0;
-            self.generation = generation;
-        }
-    }
-
-    /// Folds the pending batch into the global table (unless a reset made
-    /// it stale) and clears it.
-    fn fold(&mut self) {
-        if self.pending_calls == 0 {
-            return;
-        }
-        if self.generation == GENERATION.load(Ordering::Relaxed) {
-            for (slot, p) in STATS.iter().zip(&self.pending) {
-                if p[0] > 0 {
-                    slot.calls.fetch_add(p[0], Ordering::Relaxed);
-                    slot.incl_ns.fetch_add(p[1], Ordering::Relaxed);
-                    slot.excl_ns.fetch_add(p[2], Ordering::Relaxed);
-                }
-            }
-        }
-        self.pending = [[0; 3]; PHASE_COUNT];
-        self.pending_calls = 0;
-    }
-}
-
-impl Drop for Local {
-    fn drop(&mut self) {
-        // Thread exit: whatever is still batched joins the global totals.
-        self.fold();
-    }
-}
-
-thread_local! {
-    static LOCAL: RefCell<Local> = const { RefCell::new(Local::new()) };
-}
-
-/// Open the runtime gate. Scopes entered afterwards are recorded.
-///
-/// The gate is a standalone flag: it publishes no data, every
-/// accumulator is itself atomic, and readers only need to see the flip
-/// eventually. Relaxed on both sides is the honest ordering.
-pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Close the runtime gate; in-flight scopes still record on drop.
-pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
-}
-
-/// Whether the runtime gate is open.
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Zero every accumulator and discard the calling thread's pending batch.
-/// Other threads' already-batched counts are invalidated via the reset
-/// generation (they are discarded, not folded, at their next fold point).
-/// Not safe to call while scopes are in flight on other threads.
-pub fn reset() {
-    GENERATION.fetch_add(1, Ordering::Relaxed);
-    LOCAL.with(|l| l.borrow_mut().sync_generation());
-    for slot in &STATS {
-        slot.calls.store(0, Ordering::Relaxed);
-        slot.incl_ns.store(0, Ordering::Relaxed);
-        slot.excl_ns.store(0, Ordering::Relaxed);
-    }
-}
-
-/// RAII guard recording one scope of a phase. Construct via [`scope`]
-/// (or, at instrumentation sites, the [`prof_scope!`] macro).
-pub struct ScopeGuard {
-    armed: bool,
-}
-
-/// Enter `phase` if the runtime gate is open. The returned guard records
-/// inclusive/exclusive nanoseconds and a call count when dropped.
-#[inline]
-pub fn scope(phase: Phase) -> ScopeGuard {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return ScopeGuard { armed: false };
-    }
-    let start_ns = now_ns();
-    LOCAL.with(|l| {
-        let mut local = l.borrow_mut();
-        if local.stack.is_empty() {
-            local.sync_generation();
-        }
-        local.stack.push(Frame {
-            phase: phase as usize,
-            start_ns,
-            child_ns: 0,
-        });
-    });
-    ScopeGuard { armed: true }
-}
-
-impl Drop for ScopeGuard {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        let end_ns = now_ns();
-        LOCAL.with(|l| {
-            let mut local = l.borrow_mut();
-            let Some(frame) = local.stack.pop() else {
-                return;
-            };
-            let incl = end_ns.saturating_sub(frame.start_ns);
-            let excl = incl.saturating_sub(frame.child_ns);
-            let p = &mut local.pending[frame.phase];
-            p[0] += 1;
-            p[1] = p[1].saturating_add(incl);
-            p[2] = p[2].saturating_add(excl);
-            local.pending_calls += 1;
-            if let Some(parent) = local.stack.last_mut() {
-                parent.child_ns = parent.child_ns.saturating_add(incl);
-            } else if local.pending_calls >= FOLD_THRESHOLD {
-                local.fold();
-            }
-        });
-    }
-}
-
-/// One phase's accumulated totals, as reported by [`report`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PhaseReport {
-    /// Stable schema name ([`Phase::name`]).
-    pub name: &'static str,
-    /// Completed scope entries.
-    pub calls: u64,
-    /// Wall nanoseconds inside the phase, nested scopes included.
-    pub incl_ns: u64,
-    /// Wall nanoseconds inside the phase, nested scopes subtracted.
-    pub excl_ns: u64,
-}
-
-/// Snapshot all phase accumulators, in table order (zero-call phases
-/// included; callers filter). Folds the calling thread's pending batch
-/// first; other threads' batches are visible once they fold (threshold,
-/// exit, or their own `report`).
-pub fn report() -> Vec<PhaseReport> {
-    LOCAL.with(|l| l.borrow_mut().fold());
-    Phase::all()
-        .iter()
-        .map(|&p| {
-            let slot = &STATS[p as usize];
-            PhaseReport {
-                name: p.name(),
-                calls: slot.calls.load(Ordering::Relaxed),
-                incl_ns: slot.incl_ns.load(Ordering::Relaxed),
-                excl_ns: slot.excl_ns.load(Ordering::Relaxed),
-            }
-        })
-        .collect()
-}
-
-/// Enter a profiler phase for the rest of the enclosing block.
-///
-/// Expands to a [`scope`](crate::prof::scope) guard binding when the
-/// *calling* crate is built with its `prof` cargo feature, and to nothing
-/// otherwise — the `#[cfg]` inside the macro body is evaluated at the
-/// expansion site, which is exactly what makes the default build carry
-/// zero profiling instructions.
-///
-/// ```ignore
-/// fn advance_to(&mut self, t: u64) {
-///     mlpsim_telemetry::prof_scope!(CpuAdvance);
-///     // ... phase body ...
-/// }
-/// ```
-#[macro_export]
-macro_rules! prof_scope {
-    ($phase:ident) => {
-        #[cfg(feature = "prof")]
-        let _mlpsim_prof_scope_guard = $crate::prof::scope($crate::prof::Phase::$phase);
-    };
-}
-
 #[cfg(test)]
 mod tests {
-    use super::{disable, enable, is_enabled, now_ns, report, reset, scope, Phase, PHASE_COUNT};
-    use std::sync::Mutex;
-
-    /// The accumulators are process-global; serialize the tests that
-    /// toggle them.
-    static TEST_GATE: Mutex<()> = Mutex::new(());
-
-    fn guard() -> std::sync::MutexGuard<'static, ()> {
-        TEST_GATE
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn spin_ns(ns: u64) {
-        let start = now_ns();
-        while now_ns().saturating_sub(start) < ns {
-            std::hint::spin_loop();
-        }
-    }
+    use super::now_ns;
 
     #[test]
     fn clock_shim_is_monotonic() {
         let a = now_ns();
         let b = now_ns();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn phase_names_are_stable_schema() {
-        let names: Vec<&str> = Phase::all().iter().map(|p| p.name()).collect();
-        assert_eq!(
-            names,
-            [
-                "cpu_dispatch",
-                "cpu_advance",
-                "tagstore",
-                "mshr",
-                "dram",
-                "telemetry_emit"
-            ]
-        );
-        assert_eq!(names.len(), PHASE_COUNT);
-    }
-
-    #[test]
-    fn disabled_scopes_record_nothing() {
-        let _g = guard();
-        disable();
-        reset();
-        {
-            let _s = scope(Phase::Tagstore);
-            spin_ns(20_000);
-        }
-        let r = report();
-        assert!(r.iter().all(|p| p.calls == 0 && p.incl_ns == 0));
-    }
-
-    #[test]
-    fn nested_scopes_split_inclusive_and_exclusive_time() {
-        let _g = guard();
-        reset();
-        enable();
-        {
-            let _outer = scope(Phase::CpuAdvance);
-            spin_ns(200_000);
-            {
-                let _inner = scope(Phase::Mshr);
-                spin_ns(200_000);
-            }
-        }
-        disable();
-        let r = report();
-        let outer = &r[Phase::CpuAdvance as usize];
-        let inner = &r[Phase::Mshr as usize];
-        assert_eq!(outer.calls, 1);
-        assert_eq!(inner.calls, 1);
-        // Inner time is inside outer's inclusive but outside its exclusive.
-        assert!(outer.incl_ns >= inner.incl_ns);
-        assert!(
-            outer.excl_ns <= outer.incl_ns - inner.incl_ns,
-            "exclusive must not count the nested scope: excl={} incl={} inner={}",
-            outer.excl_ns,
-            outer.incl_ns,
-            inner.incl_ns
-        );
-        // A leaf's exclusive time is its inclusive time.
-        assert_eq!(inner.excl_ns, inner.incl_ns);
-    }
-
-    #[test]
-    fn reset_zeroes_the_table_and_gate_reports() {
-        let _g = guard();
-        enable();
-        assert!(is_enabled());
-        {
-            let _s = scope(Phase::Dram);
-        }
-        disable();
-        assert!(!is_enabled());
-        reset();
-        assert!(report().iter().all(|p| p.calls == 0));
-    }
-
-    #[test]
-    fn reset_discards_the_pending_batch() {
-        let _g = guard();
-        reset();
-        enable();
-        {
-            let _s = scope(Phase::Dram);
-            spin_ns(1_000);
-        }
-        // The drop above parked its counts in the thread-local batch;
-        // resetting must invalidate them, not let a later fold resurrect
-        // them into the zeroed table.
-        reset();
-        {
-            let _s = scope(Phase::Tagstore);
-        }
-        disable();
-        let r = report();
-        assert_eq!(r[Phase::Dram as usize].calls, 0);
-        assert_eq!(r[Phase::Tagstore as usize].calls, 1);
-    }
-
-    #[test]
-    fn worker_batches_fold_on_thread_exit_below_the_threshold() {
-        let _g = guard();
-        reset();
-        enable();
-        let h = std::thread::spawn(|| {
-            // Far fewer scopes than FOLD_THRESHOLD: only the exit fold can
-            // publish these.
-            for _ in 0..3 {
-                let _s = scope(Phase::Mshr);
-            }
-        });
-        h.join().expect("profiled thread exits cleanly");
-        disable();
-        assert_eq!(report()[Phase::Mshr as usize].calls, 3);
-    }
-
-    #[test]
-    fn accumulators_aggregate_across_threads() {
-        let _g = guard();
-        reset();
-        enable();
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                std::thread::spawn(|| {
-                    for _ in 0..8 {
-                        let _s = scope(Phase::Tagstore);
-                        spin_ns(5_000);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("profiled thread exits cleanly");
-        }
-        disable();
-        let r = report();
-        assert_eq!(r[Phase::Tagstore as usize].calls, 32);
     }
 }

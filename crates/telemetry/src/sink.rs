@@ -70,7 +70,6 @@ impl SinkHandle {
     #[inline]
     pub fn emit(&self, ev: Event) {
         if let Some(sink) = &self.0 {
-            crate::prof_scope!(TelemetryEmit);
             lock_sink(sink).record(ev);
         }
     }
@@ -80,7 +79,6 @@ impl SinkHandle {
     #[inline]
     pub fn emit_with(&self, build: impl FnOnce() -> Event) {
         if let Some(sink) = &self.0 {
-            crate::prof_scope!(TelemetryEmit);
             lock_sink(sink).record(build());
         }
     }

@@ -16,8 +16,8 @@
 //! - **Span recording** ([`SpanGuard`], [`TraceCtx::record_span`]): RAII
 //!   guards for same-thread phases, explicit timestamped records for
 //!   cross-thread phases (queue wait, worker-pool cells). Timing uses
-//!   [`prof::now_ns`] exclusively — the same sanctioned clock the phase
-//!   profiler reads — so lint rule D2 keeps its single-shim guarantee.
+//!   [`prof::now_ns`] exclusively, so lint rule D2 keeps its single-shim
+//!   guarantee.
 //! - **The flight recorder** ([`FlightRecorder`]): a bounded ring of the
 //!   last N completed traces, with error/backpressure/cancel traces pinned
 //!   in a separate ring so a burst of healthy traffic cannot evict the
