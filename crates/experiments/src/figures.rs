@@ -9,20 +9,17 @@
 //! can be cancelled (or deadline-killed) between matrix cells.
 
 use crate::paper::paper_row;
-use crate::runner::{try_run_cells, try_run_matrix, PlanOptions, RunOptions};
+use crate::runner::{try_profile_benches, try_run_cells, try_run_matrix, PlanOptions, RunOptions};
 use mlpsim_analysis::table::Table;
 use mlpsim_analysis::util::percent_improvement;
 use mlpsim_cache::addr::Geometry;
 use mlpsim_cpu::policy::PolicyKind;
 use mlpsim_cpu::stats::SimResult;
 use mlpsim_exec::{CancelToken, Cancelled, WorkerPool};
-use mlpsim_model::characterize::{profile_trace, CharacterizeConfig, TraceProfile};
 use mlpsim_model::plan::{score_cell, CellScore};
 use mlpsim_telemetry::Event;
-use mlpsim_trace::record::Trace;
 use mlpsim_trace::spec::SpecBench;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// Figure 5 report: the mlp-cost distribution under LRU vs LIN(4) with
 /// the inset ΔMISS/ΔIPC numbers, byte-identical to the `fig5` binary's
@@ -169,25 +166,7 @@ pub fn try_planned_sweep_report(
     cancel: &CancelToken,
 ) -> Result<String, Cancelled> {
     let pool = WorkerPool::new(opts.jobs);
-    let (accesses, seed) = (opts.accesses, opts.seed);
-    let traces: Vec<Arc<Trace>> = pool.try_map_ordered(
-        benches
-            .iter()
-            .map(|&b| move || Arc::new(b.generate(accesses, seed)))
-            .collect(),
-        cancel,
-    )?;
-    let profiles: Vec<TraceProfile> = pool.try_map_ordered(
-        traces
-            .iter()
-            .map(|t| {
-                let t = Arc::clone(t);
-                move || profile_trace(&t, &CharacterizeConfig::baseline())
-            })
-            .collect(),
-        cancel,
-    )?;
-
+    let (traces, profiles) = try_profile_benches(&pool, benches, opts.accesses, opts.seed, cancel)?;
     // The run path simulates the paper's baseline L2; that is the
     // geometry every cell of a figure sweep is scored against.
     let geometry = Geometry::baseline_l2();

@@ -21,16 +21,15 @@
 //! `benches`/`policies` covers all 14 benchmarks under LRU and LIN(4).
 
 use crate::figures::{try_fig5_report, try_sweep_report};
-use crate::runner::{CellSpanSink, RunOptions, DEFAULT_ACCESSES, DEFAULT_SEED};
+use crate::runner::{
+    try_profile_benches, CellSpanSink, RunOptions, DEFAULT_ACCESSES, DEFAULT_SEED,
+};
 use mlpsim_cache::addr::Geometry;
 use mlpsim_cpu::policy::PolicyKind;
 use mlpsim_exec::{CancelToken, Cancelled, WorkerPool};
-use mlpsim_model::characterize::{profile_trace, CharacterizeConfig};
 use mlpsim_model::plan::{score_cell, DEFAULT_PRUNE_MARGIN};
 use mlpsim_telemetry::{Json, SinkHandle};
-use mlpsim_trace::record::Trace;
 use mlpsim_trace::spec::SpecBench;
-use std::sync::Arc;
 
 /// What a job computes.
 #[derive(Clone, Debug)]
@@ -270,22 +269,16 @@ impl JobSpec {
     pub fn estimate_doc(&self, margin: f64) -> Json {
         let (benches, policies) = self.grid();
         let pool = WorkerPool::new(self.jobs);
-        let (accesses, seed) = (self.accesses, self.seed);
-        let traces: Vec<Arc<Trace>> = pool.map_ordered(
-            benches
-                .iter()
-                .map(|&b| move || Arc::new(b.generate(accesses, seed)))
-                .collect(),
-        );
-        let profiles = pool.map_ordered(
-            traces
-                .iter()
-                .map(|t| {
-                    let t = Arc::clone(t);
-                    move || profile_trace(&t, &CharacterizeConfig::baseline())
-                })
-                .collect(),
-        );
+        let profiles = match try_profile_benches(
+            &pool,
+            &benches,
+            self.accesses,
+            self.seed,
+            &CancelToken::new(),
+        ) {
+            Ok((_, profiles)) => profiles,
+            Err(_) => unreachable!("a private fresh token is never cancelled"),
+        };
         let geometry = Geometry::baseline_l2();
         let mut cells = Vec::with_capacity(benches.len() * policies.len());
         let mut pruned = 0u64;

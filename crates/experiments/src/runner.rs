@@ -25,6 +25,7 @@ use mlpsim_cpu::policy::PolicyKind;
 use mlpsim_cpu::stats::SimResult;
 use mlpsim_cpu::system::System;
 use mlpsim_exec::{CancelToken, Cancelled, SpanHook, WorkerPool};
+use mlpsim_model::characterize::{profile_trace, CharacterizeConfig, TraceProfile};
 use mlpsim_telemetry::{
     ChromeTraceSink, Event, EventSink, FanoutSink, NdjsonSink, SinkHandle, SinkProbe, VecSink,
 };
@@ -464,6 +465,37 @@ pub fn try_run_matrix(
         rows.push(row);
     }
     Ok(rows)
+}
+
+/// Generates each bench's trace and profiles it the way the sweep
+/// planner does ([`CharacterizeConfig::baseline`]), one job per bench on
+/// `pool`, in bench order: the first step of both a planned sweep and an
+/// estimate document.
+///
+/// # Errors
+///
+/// [`Cancelled`] when the token fired before every bench was profiled.
+pub fn try_profile_benches(
+    pool: &WorkerPool,
+    benches: &[SpecBench],
+    accesses: usize,
+    seed: u64,
+    cancel: &CancelToken,
+) -> Result<(Vec<Arc<Trace>>, Vec<TraceProfile>), Cancelled> {
+    let pairs = pool.try_map_ordered(
+        benches
+            .iter()
+            .map(|&b| {
+                move || {
+                    let trace = Arc::new(b.generate(accesses, seed));
+                    let profile = profile_trace(&trace, &CharacterizeConfig::baseline());
+                    (trace, profile)
+                }
+            })
+            .collect(),
+        cancel,
+    )?;
+    Ok(pairs.into_iter().unzip())
 }
 
 /// Runs a ragged list of cells — `(trace index, policy)` pairs over

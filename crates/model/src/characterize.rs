@@ -1,5 +1,5 @@
-//! One-pass trace characterization: everything the estimators need,
-//! extracted in a single streamed walk with O(distinct lines) memory.
+//! Trace characterization: everything the estimators need, extracted
+//! from one read of the trace.
 //!
 //! For each (optionally L1-filtered) access the characterizer updates:
 //!
@@ -18,22 +18,43 @@
 //! receives, which is what lets the set-profile path predict the
 //! simulator's L2 miss counts exactly at the baseline (DESIGN.md §17).
 //!
-//! Determinism: the walk is a pure fold over the access sequence; all
-//! maps are ordered (`BTreeMap`), all state is seeded by the trace alone.
+//! [`profile_trace`] runs in three phases, each a tight loop over flat
+//! arrays: filter the trace down to the characterized line stream;
+//! intern each line to a dense id in first-touch order; then walk the id
+//! stream through the global stack, the popularity counts and the
+//! per-set recency rows. The id stream costs 4 bytes per characterized
+//! access, a quarter of the trace it came from; everything else is
+//! O(distinct lines + sets). A per-set profile keeps, per set, a
+//! move-to-front row of at most [`SET_WAY_CAP`] ids: a hit at position
+//! `p` is set-local distance `p`, and a line not in its row is either
+//! cold (its first touch anywhere — a line never changes set) or at
+//! distance `≥ SET_WAY_CAP`. The row's first `SET_WAY_CAP` entries are
+//! exactly the top of the set's LRU stack, so this is exact for every
+//! associativity [`SetLruProfile::lru_misses`] answers.
+//!
+//! Determinism: the interning map is a `HashMap` under a fixed
+//! multiplicative hasher, and it is only ever looked up, never iterated,
+//! so its layout cannot reach the output. Ids are assigned in
+//! first-touch order and everything downstream is indexed by id or
+//! distance, so a profile is a pure function of the access sequence.
 
 use crate::stackdist::StackDist;
 use crate::zipf::{self, ZipfFit};
 use mlpsim_cache::addr::{Geometry, LineAddr};
 use mlpsim_cache::lru::LruEngine;
 use mlpsim_cache::model::CacheModel;
-use mlpsim_trace::record::{Access, AccessKind, Trace};
-use std::collections::BTreeMap;
+use mlpsim_trace::record::{AccessKind, Trace};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Per-set stack distances are tracked exactly up to this many ways; an
 /// associativity at or above the cap falls back to the analytical
 /// estimators. 64 covers every geometry the sweeps use (the baseline L2
 /// is 16-way).
 pub const SET_WAY_CAP: usize = 64;
+
+/// Recency-row entry that holds no line id.
+const EMPTY: u32 = u32::MAX;
 
 /// How to characterize a trace.
 #[derive(Clone, Debug)]
@@ -93,31 +114,37 @@ pub struct HistBucket {
 /// Exact reuse-distance histogram over distinct-line stack distances.
 #[derive(Clone, Debug, Default)]
 pub struct ReuseHistogram {
-    counts: BTreeMap<u64, u64>,
+    /// `counts[d]`: reuses at stack distance `d`.
+    counts: Vec<u64>,
     total: u64,
 }
 
 impl ReuseHistogram {
-    /// Record one reuse at stack distance `d`.
-    pub fn record(&mut self, d: u64) {
-        *self.counts.entry(d).or_insert(0) += 1;
-        self.total += 1;
-    }
-
     /// Total recorded reuses (excludes cold accesses, which have no
     /// distance).
     pub fn total(&self) -> u64 {
         self.total
     }
 
-    /// Exact `(distance, count)` pairs in ascending distance order.
+    /// Exact `(distance, count)` pairs with a non-zero count, in
+    /// ascending distance order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts.iter().map(|(&d, &c)| (d, c))
+        self.counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(d, &c)| (d as u64, c))
     }
 
     /// Reuses with distance in `[lo, hi)`.
     pub fn mass_in(&self, lo: u64, hi: u64) -> u64 {
-        self.counts.range(lo..hi).map(|(_, &c)| c).sum()
+        let len = self.counts.len();
+        let clamp = |x: u64| usize::try_from(x).map_or(len, |x| x.min(len));
+        let (lo, hi) = (clamp(lo), clamp(hi));
+        if lo >= hi {
+            return 0;
+        }
+        self.counts[lo..hi].iter().sum()
     }
 
     /// Collapse into ~64 log2 buckets (distance 0 alone in bucket 0),
@@ -127,7 +154,7 @@ impl ReuseHistogram {
     pub fn buckets(&self) -> Vec<HistBucket> {
         let mut sums = [0.0f64; 66];
         let mut counts = [0u64; 66];
-        for (&d, &c) in &self.counts {
+        for (d, c) in self.iter() {
             let b = if d == 0 {
                 0
             } else {
@@ -151,34 +178,60 @@ impl ReuseHistogram {
 
 /// Exact capped per-set stack-distance profile at one reference set
 /// count: predicts LRU hit/miss counts exactly for `sets()` sets and any
-/// associativity `< SET_WAY_CAP`.
+/// associativity `< SET_WAY_CAP`. Only the sum over sets matters for a
+/// miss count, so the sets share one distance row.
 #[derive(Clone, Debug)]
 pub struct SetLruProfile {
     sets: u32,
-    /// `dist[set * (SET_WAY_CAP + 1) + min(d, SET_WAY_CAP)]`.
-    dist: Vec<u64>,
-    cold: u64,
+    /// `dist[min(d, SET_WAY_CAP)]`: non-cold accesses at set-local
+    /// distance `d`, summed over sets.
+    dist: [u64; SET_WAY_CAP + 1],
     accesses: u64,
 }
 
 impl SetLruProfile {
-    fn new(sets: u32) -> Self {
+    /// Walk `ids` (the interned stream, ids in first-touch order) through
+    /// one capped move-to-front row per set; `line_of[id]` places an id
+    /// in its set.
+    fn collect(sets: u32, ids: &[u32], line_of: &[u64]) -> Self {
+        let nsets = sets as usize;
+        let set_of: Vec<u32> = line_of
+            .iter()
+            .map(|&line| {
+                u32::try_from(line % u64::from(sets)).expect("set index below a u32 set count")
+            })
+            .collect();
+        // Unused row entries hold `EMPTY`, which no id equals, so a
+        // lookup scans the whole row and a miss shifts the whole row.
+        let mut rows = vec![EMPTY; nsets * SET_WAY_CAP];
+        let mut dist = [0u64; SET_WAY_CAP + 1];
+        let mut fresh = 0u32;
+        for &id in ids {
+            let set = set_of[id as usize] as usize;
+            let row = &mut rows[set * SET_WAY_CAP..(set + 1) * SET_WAY_CAP];
+            let end = match row.iter().position(|&x| x == id) {
+                Some(p) => {
+                    dist[p] += 1;
+                    p
+                }
+                None => {
+                    // Ids are handed out in first-touch order, so the
+                    // next unseen id is exactly the cold access.
+                    if id == fresh {
+                        fresh += 1;
+                    } else {
+                        dist[SET_WAY_CAP] += 1;
+                    }
+                    SET_WAY_CAP - 1
+                }
+            };
+            row.copy_within(..end, 1);
+            row[0] = id;
+        }
         SetLruProfile {
             sets,
-            dist: vec![0; (sets as usize) * (SET_WAY_CAP + 1)],
-            cold: 0,
-            accesses: 0,
-        }
-    }
-
-    fn record(&mut self, set: usize, d: Option<u64>) {
-        self.accesses += 1;
-        match d {
-            Some(d) => {
-                let b = usize::try_from(d).unwrap_or(SET_WAY_CAP).min(SET_WAY_CAP);
-                self.dist[set * (SET_WAY_CAP + 1) + b] += 1;
-            }
-            None => self.cold += 1,
+            dist,
+            accesses: ids.len() as u64,
         }
     }
 
@@ -200,12 +253,7 @@ impl SetLruProfile {
         if w >= SET_WAY_CAP {
             return None;
         }
-        let mut hits = 0u64;
-        for set in 0..self.sets as usize {
-            let row = &self.dist[set * (SET_WAY_CAP + 1)..(set + 1) * (SET_WAY_CAP + 1)];
-            hits += row[..w].iter().sum::<u64>();
-        }
-        Some(self.accesses - hits)
+        Some(self.accesses - self.dist[..w].iter().sum::<u64>())
     }
 }
 
@@ -260,110 +308,109 @@ impl TraceProfile {
     }
 }
 
-/// The streaming characterizer: feed accesses, then [`finish`].
-///
-/// [`finish`]: Characterizer::finish
-#[derive(Debug)]
-pub struct Characterizer {
-    l1: Option<CacheModel>,
-    ref_sets: Vec<u32>,
-    global: StackDist,
-    per_set: Vec<Vec<StackDist>>,
-    profiles: Vec<SetLruProfile>,
-    hist: ReuseHistogram,
-    popularity: BTreeMap<u64, u64>,
-    raw_accesses: u64,
-    accesses: u64,
-    cold: u64,
-    seq: u64,
-}
-
-impl Characterizer {
-    /// A fresh characterizer under `cfg`.
-    pub fn new(cfg: &CharacterizeConfig) -> Self {
-        let l1 = cfg
-            .l1_filter
-            .map(|g| CacheModel::new(g, Box::new(LruEngine::new())));
-        let per_set = cfg
-            .set_profile_sets
-            .iter()
-            .map(|&s| vec![StackDist::new(); s as usize])
-            .collect();
-        let profiles = cfg
-            .set_profile_sets
-            .iter()
-            .map(|&s| SetLruProfile::new(s))
-            .collect();
-        Characterizer {
-            l1,
-            ref_sets: cfg.set_profile_sets.clone(),
-            global: StackDist::new(),
-            per_set,
-            profiles,
-            hist: ReuseHistogram::default(),
-            popularity: BTreeMap::new(),
-            raw_accesses: 0,
-            accesses: 0,
-            cold: 0,
-            seq: 0,
-        }
-    }
-
-    /// Observe one access.
-    pub fn observe(&mut self, access: &Access) {
-        self.raw_accesses += 1;
-        self.seq += 1;
-        if let Some(l1) = &mut self.l1 {
-            let write = matches!(access.kind, AccessKind::Store);
-            if l1.access(LineAddr(access.line), write, self.seq).hit {
-                return;
-            }
-        }
-        self.accesses += 1;
-        *self.popularity.entry(access.line).or_insert(0) += 1;
-        match self.global.record(access.line) {
-            Some(d) => self.hist.record(d),
-            None => self.cold += 1,
-        }
-        for (i, &sets) in self.ref_sets.iter().enumerate() {
-            let set = usize::try_from(access.line % u64::from(sets))
-                .expect("set index below a u32 set count");
-            let d = self.per_set[i][set].record(access.line);
-            self.profiles[i].record(set, d);
-        }
-    }
-
-    /// Close the pass and assemble the profile.
-    pub fn finish(self) -> TraceProfile {
-        let counts: Vec<u64> = self.popularity.values().copied().collect();
-        let buckets = self.hist.buckets();
-        TraceProfile {
-            raw_accesses: self.raw_accesses,
-            accesses: self.accesses,
-            cold: self.cold,
-            distinct_lines: self.global.distinct(),
-            hist: self.hist,
-            set_profiles: self.profiles,
-            zipf: zipf::fit(&counts),
-            l1_filtered: self.l1.is_some(),
-            buckets,
-        }
-    }
-}
-
-/// Characterize a whole trace in one call.
+/// Characterize a whole trace: filter, intern, walk (module docs).
 pub fn profile_trace(trace: &Trace, cfg: &CharacterizeConfig) -> TraceProfile {
-    let mut c = Characterizer::new(cfg);
-    for access in trace.iter() {
-        c.observe(access);
+    let (ids, line_of) = intern(characterized_lines(trace, cfg.l1_filter));
+    let mut popularity = vec![0u64; line_of.len()];
+    // A stack distance is below the number of distinct lines.
+    let mut counts = vec![0u64; line_of.len()];
+    let mut global = StackDist::new();
+    let mut cold = 0u64;
+    for &id in &ids {
+        popularity[id as usize] += 1;
+        match global.record(id) {
+            Some(d) => counts[usize::try_from(d).expect("distance below distinct lines")] += 1,
+            None => cold += 1,
+        }
     }
-    c.finish()
+    let accesses = ids.len() as u64;
+    let hist = ReuseHistogram {
+        counts,
+        total: accesses - cold,
+    };
+    let set_profiles = cfg
+        .set_profile_sets
+        .iter()
+        .map(|&sets| SetLruProfile::collect(sets, &ids, &line_of))
+        .collect();
+    let buckets = hist.buckets();
+    TraceProfile {
+        raw_accesses: trace.len() as u64,
+        accesses,
+        cold,
+        distinct_lines: global.distinct(),
+        hist,
+        set_profiles,
+        zipf: zipf::fit(&popularity),
+        l1_filtered: cfg.l1_filter.is_some(),
+        buckets,
+    }
+}
+
+/// The line stream the profile characterizes: every access of `trace`,
+/// or only the misses of an LRU cache of geometry `l1` in front of it.
+fn characterized_lines(trace: &Trace, l1: Option<Geometry>) -> Vec<u64> {
+    let Some(g) = l1 else {
+        return trace.iter().map(|a| a.line).collect();
+    };
+    let mut l1 = CacheModel::new(g, Box::new(LruEngine::new()));
+    let mut lines = Vec::new();
+    for (seq, access) in (1u64..).zip(trace.iter()) {
+        let write = matches!(access.kind, AccessKind::Store);
+        if !l1.access(LineAddr(access.line), write, seq).hit {
+            lines.push(access.line);
+        }
+    }
+    lines
+}
+
+/// Dense ids for a line stream, assigned in first-touch order: the
+/// stream as ids, and `line_of[id]`, each distinct line once.
+fn intern(lines: Vec<u64>) -> (Vec<u32>, Vec<u64>) {
+    let mut index: HashMap<u64, u32, BuildHasherDefault<LineHasher>> = HashMap::default();
+    let mut line_of = Vec::new();
+    let ids = lines
+        .into_iter()
+        .map(|line| {
+            *index.entry(line).or_insert_with(|| {
+                line_of.push(line);
+                u32::try_from(line_of.len() - 1)
+                    .ok()
+                    .filter(|&id| id != EMPTY)
+                    .expect("fewer than u32::MAX distinct lines")
+            })
+        })
+        .collect();
+    (ids, line_of)
+}
+
+/// Fixed multiplicative hasher for line addresses: a 128-bit multiply by
+/// a 64-bit odd constant, folded, so both halves of the line address
+/// reach the bucket bits. No per-process seed.
+#[derive(Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let p = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlpsim_cache::lru::LruEngine;
+    use mlpsim_trace::record::Access;
 
     fn toy_trace() -> Trace {
         // Cyclic scan over 40 lines, 50 rounds.
@@ -401,6 +448,38 @@ mod tests {
             }
             let predicted = p.set_profile(4).and_then(|sp| sp.lru_misses(ways));
             assert_eq!(predicted, Some(cache.stats().misses), "ways {ways}");
+        }
+    }
+
+    #[test]
+    fn recency_rows_are_exact_up_to_the_cap() {
+        // One set, so every line shares the one capped row. A cycle over
+        // k lines puts every reuse at distance k − 1: inside the row for
+        // k ≤ 64, pushed off it and re-touched for k = 65 and 70. The
+        // pseudo-random tail spreads reuses over every row position.
+        for k in [63u64, 64, 65, 70] {
+            let mut lines: Vec<u64> = (0..5).flat_map(|_| 0..k).collect();
+            let mut x = k;
+            for _ in 0..4000 {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                lines.push((x >> 33) % k);
+            }
+            let trace = Trace::from_accesses(lines.iter().map(|&l| Access::load(l, 0)).collect());
+            let cfg = CharacterizeConfig::unfiltered().with_set_profiles(&[1]);
+            let sp = profile_trace(&trace, &cfg).set_profile(1).cloned().unwrap();
+            for ways in 1..SET_WAY_CAP as u16 {
+                let g = Geometry::from_sets(1, ways, 64);
+                let mut cache = CacheModel::new(g, Box::new(LruEngine::new()));
+                for (seq, a) in trace.iter().enumerate() {
+                    cache.access(LineAddr(a.line), false, seq as u64);
+                }
+                assert_eq!(
+                    sp.lru_misses(ways),
+                    Some(cache.stats().misses),
+                    "k {k} ways {ways}"
+                );
+            }
+            assert_eq!(sp.lru_misses(SET_WAY_CAP as u16), None, "k {k}");
         }
     }
 

@@ -11,8 +11,8 @@
 //!
 //! Three layers:
 //!
-//! - [`characterize`]: a one-pass, O(distinct lines) trace characterizer
-//!   built on an exact Mattson stack ([`stackdist`]) — reuse-distance
+//! - [`characterize`]: a trace characterizer over dense line ids, built
+//!   on an exact Mattson stack ([`stackdist`]) — reuse-distance
 //!   histogram, per-set stack-distance profiles, and per-line popularity
 //!   counts feeding a Zipf fit ([`zipf`]).
 //! - [`estimate`]: two closed-form estimators over one characterization —
