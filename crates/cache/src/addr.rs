@@ -190,17 +190,26 @@ impl Geometry {
     }
 
     /// Set index for a line address (modulo indexing, as in the paper's
-    /// baseline).
+    /// baseline). A power-of-two set count, which every paper geometry
+    /// has, takes a mask instead of a 64-bit division.
     #[inline]
     pub fn set_index(&self, line: LineAddr) -> u32 {
-        (line.0 % u64::from(self.sets)) as u32
+        if self.sets.is_power_of_two() {
+            (line.0 & u64::from(self.sets - 1)) as u32
+        } else {
+            (line.0 % u64::from(self.sets)) as u32
+        }
     }
 
     /// Tag for a line address: the line address with the set-index bits
-    /// removed.
+    /// removed (a shift for a power-of-two set count).
     #[inline]
     pub fn tag(&self, line: LineAddr) -> u64 {
-        line.0 / u64::from(self.sets)
+        if self.sets.is_power_of_two() {
+            line.0 >> self.sets.trailing_zeros()
+        } else {
+            line.0 / u64::from(self.sets)
+        }
     }
 
     /// Reconstructs a line address from a `(tag, set_index)` pair; the
@@ -234,6 +243,53 @@ impl fmt::Display for Geometry {
             self.line_bytes,
             self.capacity_bytes() / 1024
         )
+    }
+}
+
+/// Fixed multiplicative hasher for line addresses: a 128-bit multiply by
+/// a 64-bit odd constant, folded, so both halves of the line address reach
+/// the bucket bits. It has no per-process seed and costs a few cycles,
+/// against SipHash's few dozen.
+///
+/// A map or set keyed by line under this hasher keeps the simulation
+/// deterministic only while it is never iterated: lookups, inserts and
+/// removals do not depend on bucket layout, but iteration order does (lint
+/// rule D1 forbids iterating hash maps in the simulation crates). Its keys
+/// are simulated line addresses, never network input; a trace crafted to
+/// collide would only slow its own simulation.
+///
+/// # Example
+///
+/// ```
+/// use mlpsim_cache::addr::{LineAddr, LineBuildHasher};
+/// use std::collections::HashSet;
+///
+/// let mut seen: HashSet<LineAddr, LineBuildHasher> = HashSet::default();
+/// assert!(seen.insert(LineAddr(7)));
+/// assert!(!seen.insert(LineAddr(7)));
+/// ```
+#[derive(Clone, Copy, Default, Debug)]
+pub struct LineHasher(u64);
+
+/// The [`BuildHasher`](std::hash::BuildHasher) for [`LineHasher`].
+pub type LineBuildHasher = std::hash::BuildHasherDefault<LineHasher>;
+
+impl std::hash::Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        let p = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 

@@ -83,8 +83,8 @@ impl Atd {
     pub fn access(&mut self, line: LineAddr, seq: u64, fill_cost_q: CostQ) -> AtdOutcome {
         match self.tags.probe(line) {
             Some(way) => {
-                let cost = self.tags.cost_q_of(line);
-                self.engine.on_access(line, seq, true, cost);
+                let cost = self.tags.cost_q_at(line, way);
+                self.engine.on_access(line, seq, true, Some(cost));
                 self.tags.touch(line, way);
                 self.hits += 1;
                 AtdOutcome { hit: true }

@@ -6,7 +6,7 @@ use crate::policy::{ReplacementEngine, VictimCtx};
 /// regardless of how recently it was touched.
 ///
 /// Not evaluated in the paper, but included as an extra baseline for the
-/// replacement framework (and to exercise the `fill_stamp` metadata).
+/// replacement framework (and to exercise the fill-rank metadata).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FifoEngine;
 

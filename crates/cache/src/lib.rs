@@ -7,8 +7,8 @@
 //! contribution (in `mlpsim-core`) plugs into:
 //!
 //! * [`addr`] — line-address and geometry arithmetic,
-//! * [`meta`] — per-way tag-store metadata (tag, recency stamp, `cost_q`),
-//! * [`tagstore`] — the tag array itself, with recency bookkeeping,
+//! * [`meta`] — per-way tag-store metadata (tag, recency rank, `cost_q`),
+//! * [`tagstore`] — the tag array itself, with in-place recency ranks,
 //! * [`set`] — read-only views of a set handed to replacement engines,
 //! * [`policy`] — the [`policy::ReplacementEngine`]
 //!   trait every victim-selection policy implements,
@@ -19,7 +19,7 @@
 //!   the paper's hybrid-replacement mechanisms.
 //!
 //! The design deliberately separates *state* (the tag store, which knows
-//! recency stamps and the quantized MLP cost of each block) from *policy*
+//! LRU-stack positions and the quantized MLP cost of each block) from *policy*
 //! (engines that pick victims from a [`set::SetView`]). This is
 //! how the paper's hardware is organized too: the Cost-Aware Replacement
 //! Engine (CARE) reads the tag-store entries, and hybrid schemes flip the

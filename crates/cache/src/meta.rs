@@ -16,21 +16,20 @@ pub const COST_Q_MAX: CostQ = 7;
 ///
 /// Replacement engines see these through a [`SetView`](crate::set::SetView)
 /// and must base their victim choice only on this architectural state — the
-/// tag, the recency stamp (from which the LRU-stack position `R(i)` is
-/// derived), the fill order, and the stored quantized cost `cost_q(i)`.
+/// tag, the LRU-stack position `R(i)`, the fill order, and the stored
+/// quantized cost `cost_q(i)`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub struct WayMeta {
     /// Whether this way holds a valid block.
     pub valid: bool,
     /// Tag of the resident block (meaningless when `!valid`).
     pub tag: u64,
-    /// Monotonic stamp of the last touch; higher = more recently used.
-    /// The LRU-stack position `R(i)` is the rank of this stamp within the
-    /// set's valid ways (0 = LRU … assoc-1 = MRU).
-    pub lru_stamp: u64,
-    /// Monotonic stamp of when the block was filled (for FIFO and lifetime
-    /// statistics).
-    pub fill_stamp: u64,
+    /// LRU-stack position `R(i)` among the set's valid ways (0 = LRU …
+    /// valid-1 = MRU); 0 when `!valid`.
+    pub rank: u8,
+    /// Fill-order position among the set's valid ways (0 = oldest fill,
+    /// the FIFO victim); 0 when `!valid`.
+    pub fill_rank: u8,
     /// Quantized MLP-based cost of the miss that most recently brought this
     /// block into the cache (paper §5: "When a miss gets serviced, the
     /// mlp-cost of the miss is stored in the tag-store entry").

@@ -1,6 +1,6 @@
 //! A cache model: tag store + replacement engine + statistics.
 
-use crate::addr::{Geometry, LineAddr};
+use crate::addr::{Geometry, LineAddr, LineBuildHasher};
 use crate::meta::CostQ;
 use crate::policy::{ReplacementEngine, VictimCtx};
 use crate::tagstore::{Evicted, TagStore};
@@ -67,10 +67,12 @@ pub struct CacheModel {
     tags: TagStore,
     engine: Box<dyn ReplacementEngine>,
     stats: CacheStats,
-    /// Lines touched at least once, for compulsory-miss accounting. Kept as
-    /// a sorted bitmap-free count via the tag of first fill; we only need
-    /// the *count*, so we track it with a HashSet.
-    seen: std::collections::HashSet<LineAddr>,
+    /// Lines missed at least once, for compulsory-miss accounting. It is
+    /// hashed on every miss, so it uses the cheap fixed
+    /// [`LineHasher`](crate::addr::LineHasher); only its insert results
+    /// are counted and it is never iterated, so bucket layout cannot
+    /// reach the output.
+    seen: std::collections::HashSet<LineAddr, LineBuildHasher>,
     first_touch_misses: u64,
     /// Telemetry sink (disabled unless attached) and the cache-level tag
     /// stamped on emitted events (1 = L1, 2 = L2).
@@ -85,7 +87,7 @@ impl CacheModel {
             tags: TagStore::new(geometry),
             engine,
             stats: CacheStats::default(),
-            seen: std::collections::HashSet::new(),
+            seen: std::collections::HashSet::default(),
             first_touch_misses: 0,
             sink: SinkHandle::disabled(),
             level: 0,
@@ -149,11 +151,11 @@ impl CacheModel {
     pub fn access(&mut self, line: LineAddr, write: bool, seq: u64) -> AccessResult {
         match self.tags.probe(line) {
             Some(way) => {
-                let cost = self.tags.cost_q_of(line);
-                self.engine.on_access(line, seq, true, cost);
+                let cost = self.tags.cost_q_at(line, way);
+                self.engine.on_access(line, seq, true, Some(cost));
                 self.tags.touch(line, way);
                 if write {
-                    self.tags.mark_dirty(line);
+                    self.tags.mark_dirty_at(line, way);
                 }
                 self.stats.hits += 1;
                 self.sink.emit_with(|| Event::CacheHit {
@@ -181,11 +183,6 @@ impl CacheModel {
                     line: line.0,
                     seq,
                 });
-                // Rank of the victim way within the set's recency stack,
-                // computed only when a sink is listening: recency_ranks()
-                // walks the whole set, which would tax the uninstrumented
-                // miss path.
-                let mut victim_rank: Option<u8> = None;
                 let way = match self.tags.view(set_index).first_invalid() {
                     Some(way) => {
                         self.stats.cold_fills += 1;
@@ -203,29 +200,28 @@ impl CacheModel {
                             way < usize::from(self.tags.geometry().ways()),
                             "engine returned out-of-range way"
                         );
-                        if self.sink.enabled() {
-                            victim_rank = Some(self.tags.view(set_index).recency_ranks()[way]);
-                        }
                         way
                     }
                 };
+                // The victim's recency-stack position, read before the fill
+                // moves it to MRU (meaningless for a cold fill, which
+                // evicts nothing).
+                let victim_rank = self.tags.view(set_index).recency_ranks()[way];
                 let evicted = self.tags.fill(line, way, write, 0);
                 if let Some(ev) = evicted {
                     if ev.dirty {
                         self.stats.writebacks += 1;
                     }
-                    if let Some(rank) = victim_rank {
-                        self.sink.emit(Event::CacheVictim {
-                            level: self.level,
-                            set: u64::from(set_index),
-                            way: way as u64,
-                            rank: u64::from(rank),
-                            cost_q: ev.cost_q,
-                            line: ev.line.0,
-                            dirty: ev.dirty,
-                            seq,
-                        });
-                    }
+                    self.sink.emit_with(|| Event::CacheVictim {
+                        level: self.level,
+                        set: u64::from(set_index),
+                        way: way as u64,
+                        rank: u64::from(victim_rank),
+                        cost_q: ev.cost_q,
+                        line: ev.line.0,
+                        dirty: ev.dirty,
+                        seq,
+                    });
                 }
                 AccessResult {
                     hit: false,

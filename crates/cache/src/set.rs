@@ -6,24 +6,24 @@ use crate::meta::{CostQ, WayMeta};
 /// A read-only view of one cache set at victim-selection time.
 ///
 /// Engines use this to inspect the candidate ways: their validity, recency
-/// stamps, `cost_q`, and the line addresses they hold. The view also knows
-/// the cache [`Geometry`] so tags can be turned back into [`LineAddr`]s
-/// (needed by Belady's OPT, which indexes its future-knowledge table by
-/// line address).
+/// and fill ranks, `cost_q`, and the line addresses they hold. The view
+/// also knows the cache [`Geometry`] so tags can be turned back into
+/// [`LineAddr`]s (needed by Belady's OPT, which indexes its
+/// future-knowledge table by line address).
 ///
 /// The view borrows one column slice per metadata field (struct-of-arrays,
 /// mirroring [`TagStore`](crate::tagstore::TagStore)'s layout) rather than
 /// a slice of per-way structs: victim selection scans one field across all
-/// ways at a time (all tags, then all stamps, …), so packing each field
-/// contiguously keeps those scans within a cache line or two instead of
-/// striding over 40-byte records. To build a view from standalone
-/// [`WayMeta`] records (tests, benchmarks), go through [`OwnedSet`].
+/// ways at a time (all tags, then all ranks, …), so packing each field
+/// contiguously keeps those scans within a cache line or two. To build a
+/// view from standalone [`WayMeta`] records (tests, benchmarks), go
+/// through [`OwnedSet`].
 #[derive(Clone, Copy, Debug)]
 pub struct SetView<'a> {
     valid: &'a [bool],
     tag: &'a [u64],
-    lru_stamp: &'a [u64],
-    fill_stamp: &'a [u64],
+    rank: &'a [u8],
+    fill_rank: &'a [u8],
     cost_q: &'a [CostQ],
     set_index: u32,
     geometry: Geometry,
@@ -39,8 +39,8 @@ impl<'a> SetView<'a> {
     pub fn new(
         valid: &'a [bool],
         tag: &'a [u64],
-        lru_stamp: &'a [u64],
-        fill_stamp: &'a [u64],
+        rank: &'a [u8],
+        fill_rank: &'a [u8],
         cost_q: &'a [CostQ],
         set_index: u32,
         geometry: Geometry,
@@ -49,16 +49,16 @@ impl<'a> SetView<'a> {
         assert!(
             valid.len() == assoc
                 && tag.len() == assoc
-                && lru_stamp.len() == assoc
-                && fill_stamp.len() == assoc
+                && rank.len() == assoc
+                && fill_rank.len() == assoc
                 && cost_q.len() == assoc,
             "set view must cover exactly one set"
         );
         SetView {
             valid,
             tag,
-            lru_stamp,
-            fill_stamp,
+            rank,
+            fill_rank,
             cost_q,
             set_index,
             geometry,
@@ -75,18 +75,6 @@ impl<'a> SetView<'a> {
     #[inline]
     pub fn tag(&self, way: usize) -> u64 {
         self.tag[way]
-    }
-
-    /// Recency stamp of `way`; higher = more recently used.
-    #[inline]
-    pub fn lru_stamp(&self, way: usize) -> u64 {
-        self.lru_stamp[way]
-    }
-
-    /// Fill stamp of `way` (when its block was brought in).
-    #[inline]
-    pub fn fill_stamp(&self, way: usize) -> u64 {
-        self.fill_stamp[way]
     }
 
     /// Quantized MLP-based cost stored with `way`'s block.
@@ -140,74 +128,83 @@ impl<'a> SetView<'a> {
 
     /// LRU-stack positions of every way: `ranks[i]` is `R(i)` as defined in
     /// the paper (§5.1) — 0 for the least-recently-used valid way up to
-    /// `valid_count() - 1` for the MRU way. Invalid ways get rank 0.
+    /// `valid_count() - 1` for the MRU way. Invalid ways hold 0.
     ///
-    /// Computed by ranking recency stamps; O(assoc²) but the associativities
-    /// in play are ≤ 16, and profiling showed this is not a bottleneck.
-    pub fn recency_ranks(&self) -> Vec<u8> {
-        // The u8 rank caps the supported associativity at 256; the paper's
-        // configurations top out at 16-way.
-        assert!(self.assoc() <= 256, "recency ranks are 8-bit");
-        let mut ranks = vec![0u8; self.assoc()];
-        for (i, slot) in ranks.iter_mut().enumerate() {
-            if !self.valid[i] {
-                continue;
-            }
-            let mut rank = 0u8;
-            for j in 0..self.assoc() {
-                if self.valid[j] && self.lru_stamp[j] < self.lru_stamp[i] {
-                    rank += 1;
-                }
-            }
-            *slot = rank;
-        }
-        self.check_rank_permutation(&ranks);
-        ranks
-    }
-
-    /// Model check (under the `invariants` feature): the ranks of the valid
-    /// ways form a permutation of `0..valid_count()` — i.e. the recency
-    /// stack orders every resident block exactly once, the property Eq. 1's
-    /// `R(i)` and the LIN policy's rank term rely on.
-    #[cfg(feature = "invariants")]
-    fn check_rank_permutation(&self, ranks: &[u8]) {
-        let mut seen = vec![false; self.assoc()];
-        let mut valid = 0usize;
-        for (&v, &r) in self.valid.iter().zip(ranks) {
-            if !v {
-                continue;
-            }
-            valid += 1;
-            let r = usize::from(r);
-            crate::invariant!(
-                r < self.assoc() && !seen[r],
-                "recency ranks of valid ways must be distinct stack positions"
-            );
-            seen[r] = true;
-        }
-        crate::invariant!(
-            seen.iter().filter(|&&s| s).count() == valid && seen[..valid].iter().all(|&s| s),
-            "recency ranks must cover 0..valid_count with no gaps"
-        );
-    }
-
-    #[cfg(not(feature = "invariants"))]
+    /// The tag store keeps these ranks up to date on every touch and fill,
+    /// so this is the stored column itself: no allocation, no ranking.
     #[inline]
-    fn check_rank_permutation(&self, _ranks: &[u8]) {}
+    pub fn recency_ranks(&self) -> &'a [u8] {
+        crate::invariant!(
+            is_rank_permutation(self.valid, self.rank),
+            "recency ranks of valid ways must be a permutation of 0..valid_count"
+        );
+        self.rank
+    }
 
-    /// The valid way with the smallest recency stamp (the LRU way), or
-    /// `None` if the set is empty.
+    /// Validity of every way, as a column.
+    #[inline]
+    pub fn valid_flags(&self) -> &'a [bool] {
+        self.valid
+    }
+
+    /// The stored `cost_q` of every way, as a column (meaningless for
+    /// invalid ways).
+    #[inline]
+    pub fn cost_qs(&self) -> &'a [CostQ] {
+        self.cost_q
+    }
+
+    /// Fill-order positions of every way: 0 for the valid way filled
+    /// earliest up to `valid_count() - 1` for the newest fill. Invalid ways
+    /// hold 0.
+    #[inline]
+    pub fn fill_ranks(&self) -> &'a [u8] {
+        self.fill_rank
+    }
+
+    /// The valid way at recency rank 0 (the LRU way), or `None` if the set
+    /// is empty.
     pub fn lru_way(&self) -> Option<usize> {
-        let stamps = self.lru_stamp;
-        self.valid_ways().min_by_key(move |&w| stamps[w])
+        first_valid_at_rank_zero(self.valid, self.rank)
     }
 
-    /// The valid way with the smallest fill stamp (the FIFO victim), or
-    /// `None` if the set is empty.
+    /// The valid way at fill rank 0 (the FIFO victim), or `None` if the set
+    /// is empty.
     pub fn oldest_fill_way(&self) -> Option<usize> {
-        let stamps = self.fill_stamp;
-        self.valid_ways().min_by_key(move |&w| stamps[w])
+        first_valid_at_rank_zero(self.valid, self.fill_rank)
     }
+}
+
+#[inline]
+fn first_valid_at_rank_zero(valid: &[bool], ranks: &[u8]) -> Option<usize> {
+    valid.iter().zip(ranks).position(|(&v, &r)| v && r == 0)
+}
+
+/// Whether the valid ways' `ranks` are a permutation of `0..valid_count`
+/// — the recency stack orders every resident block exactly once, the
+/// property Eq. 1's `R(i)` and the LIN policy's rank term rely on. The
+/// model checks under the `invariants` feature call this; it does not
+/// allocate, so it can run on the victim path.
+#[cfg(any(test, feature = "invariants"))]
+pub(crate) fn is_rank_permutation(valid: &[bool], ranks: &[u8]) -> bool {
+    let mut seen = [0u64; 4];
+    let mut count = 0usize;
+    for (&v, &r) in valid.iter().zip(ranks) {
+        if !v {
+            continue;
+        }
+        let (word, bit) = (usize::from(r) / 64, 1u64 << (r % 64));
+        if seen[word] & bit != 0 {
+            return false;
+        }
+        seen[word] |= bit;
+        count += 1;
+    }
+    // `count` distinct ranks are exactly 0..count iff none reaches count.
+    valid
+        .iter()
+        .zip(ranks)
+        .all(|(&v, &r)| !v || usize::from(r) < count)
 }
 
 /// One set's metadata in owned column form — the bridge from standalone
@@ -221,8 +218,8 @@ impl<'a> SetView<'a> {
 pub struct OwnedSet {
     valid: Vec<bool>,
     tag: Vec<u64>,
-    lru_stamp: Vec<u64>,
-    fill_stamp: Vec<u64>,
+    rank: Vec<u8>,
+    fill_rank: Vec<u8>,
     cost_q: Vec<CostQ>,
     set_index: u32,
     geometry: Geometry,
@@ -239,8 +236,8 @@ impl OwnedSet {
         OwnedSet {
             valid: ways.iter().map(|w| w.valid).collect(),
             tag: ways.iter().map(|w| w.tag).collect(),
-            lru_stamp: ways.iter().map(|w| w.lru_stamp).collect(),
-            fill_stamp: ways.iter().map(|w| w.fill_stamp).collect(),
+            rank: ways.iter().map(|w| w.rank).collect(),
+            fill_rank: ways.iter().map(|w| w.fill_rank).collect(),
             cost_q: ways.iter().map(|w| w.cost_q).collect(),
             set_index,
             geometry,
@@ -252,8 +249,8 @@ impl OwnedSet {
         SetView::new(
             &self.valid,
             &self.tag,
-            &self.lru_stamp,
-            &self.fill_stamp,
+            &self.rank,
+            &self.fill_rank,
             &self.cost_q,
             self.set_index,
             self.geometry,
@@ -266,48 +263,60 @@ mod tests {
     use super::*;
     use crate::addr::Geometry;
 
-    fn meta(valid: bool, tag: u64, lru: u64, fill: u64) -> WayMeta {
+    fn meta(valid: bool, tag: u64, rank: u8, fill_rank: u8) -> WayMeta {
         WayMeta {
             valid,
             tag,
-            lru_stamp: lru,
-            fill_stamp: fill,
+            rank,
+            fill_rank,
             cost_q: 0,
             dirty: false,
         }
     }
 
     #[test]
-    fn ranks_follow_stamps() {
+    fn ranks_are_the_stored_column() {
         let g = Geometry::from_sets(4, 4, 64);
         let ways = [
-            meta(true, 1, 50, 0),
-            meta(true, 2, 10, 1),
-            meta(true, 3, 99, 2),
-            meta(true, 4, 30, 3),
+            meta(true, 1, 2, 0),
+            meta(true, 2, 0, 1),
+            meta(true, 3, 3, 2),
+            meta(true, 4, 1, 3),
         ];
         let set = OwnedSet::from_ways(&ways, 0, g);
         let v = set.view();
-        assert_eq!(v.recency_ranks(), vec![2, 0, 3, 1]);
+        assert_eq!(v.recency_ranks(), [2, 0, 3, 1]);
+        assert_eq!(v.fill_ranks(), [0, 1, 2, 3]);
         assert_eq!(v.lru_way(), Some(1));
+        assert_eq!(v.oldest_fill_way(), Some(0));
     }
 
     #[test]
     fn invalid_ways_are_skipped() {
         let g = Geometry::from_sets(4, 4, 64);
         let ways = [
-            meta(true, 1, 50, 7),
+            meta(true, 1, 0, 1),
             meta(false, 0, 0, 0),
-            meta(true, 3, 99, 5),
+            meta(true, 3, 1, 0),
             meta(false, 0, 0, 0),
         ];
         let set = OwnedSet::from_ways(&ways, 2, g);
         let v = set.view();
         assert_eq!(v.valid_count(), 2);
         assert_eq!(v.first_invalid(), Some(1));
-        assert_eq!(v.recency_ranks(), vec![0, 0, 1, 0]);
+        assert_eq!(v.recency_ranks(), [0, 0, 1, 0]);
+        assert_eq!(v.lru_way(), Some(0));
         assert_eq!(v.oldest_fill_way(), Some(2));
         assert_eq!(v.valid_ways().collect::<Vec<_>>(), vec![0, 2]);
+    }
+
+    #[test]
+    fn rank_permutation_check() {
+        let valid = [true, false, true, true];
+        assert!(is_rank_permutation(&valid, &[2, 0, 0, 1]));
+        assert!(!is_rank_permutation(&valid, &[2, 0, 2, 1]), "duplicate");
+        assert!(!is_rank_permutation(&valid, &[3, 0, 0, 1]), "gap");
+        assert!(is_rank_permutation(&[false; 3], &[0, 0, 0]));
     }
 
     #[test]

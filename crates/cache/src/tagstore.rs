@@ -13,11 +13,19 @@ use crate::set::SetView;
 /// performance of replacement policies", §6).
 ///
 /// Metadata is laid out struct-of-arrays: one contiguous column per field
-/// (`valid`, `tag`, `lru_stamp`, …), each indexed by
-/// `set * assoc + way`. The hot operations — `probe`'s tag-match scan and
-/// the recency scans behind victim selection — each read exactly one field
-/// across a set's ways, so a columnar layout turns them into short
-/// contiguous loads instead of strided walks over 40-byte records.
+/// (`valid`, `tag`, `rank`, …), each indexed by `set * assoc + way`. The
+/// hot operations — `probe`'s tag-match scan and the rank reads behind
+/// victim selection — each read exactly one field across a set's ways, so
+/// a columnar layout turns them into short contiguous loads instead of
+/// strided walks over per-way records.
+///
+/// Recency is kept the way the paper's hardware keeps it: as each block's
+/// position in its set's LRU stack, `R(i)` of §5.1, in an 8-bit `rank`
+/// column (0 = LRU … valid-1 = MRU), with the fill order in a second
+/// `fill_rank` column (0 = oldest fill). Both are updated in place on every
+/// touch, fill and invalidation, so a replacement engine reads `R(i)`
+/// directly instead of deriving it. The valid ways' ranks in each column
+/// are a permutation of `0..valid_count`, and invalid ways hold 0.
 ///
 /// [`CacheModel`]: crate::model::CacheModel
 /// [`Atd`]: crate::atd::Atd
@@ -38,27 +46,51 @@ pub struct TagStore {
     geometry: Geometry,
     valid: Vec<bool>,
     tag: Vec<u64>,
-    lru_stamp: Vec<u64>,
-    fill_stamp: Vec<u64>,
+    rank: Vec<u8>,
+    fill_rank: Vec<u8>,
     cost_q: Vec<CostQ>,
     dirty: Vec<bool>,
-    /// Monotonic stamp source for recency/fill ordering.
-    next_stamp: u64,
+}
+
+/// The largest associativity a tag store supports: ranks are 8-bit.
+pub const MAX_WAYS: u16 = 256;
+
+/// Takes `way` out of one rank column's stack: every rank above the way's
+/// old rank drops by one. Invalid ways hold 0, which is never above
+/// anything, so they stay put without a branch. Returns the highest rank
+/// the column held, which is the top slot when `way` is valid.
+#[inline]
+fn close_gap(ranks: &mut [u8], way: usize) -> u8 {
+    let old = ranks[way];
+    let mut top = 0;
+    for r in ranks.iter_mut() {
+        top = top.max(*r);
+        *r -= u8::from(*r > old);
+    }
+    top
 }
 
 impl TagStore {
     /// Creates an empty (all-invalid) tag store for the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the associativity exceeds [`MAX_WAYS`].
     pub fn new(geometry: Geometry) -> Self {
+        assert!(
+            geometry.ways() <= MAX_WAYS,
+            "a tag store supports at most {MAX_WAYS} ways (8-bit recency ranks), got {}",
+            geometry.ways()
+        );
         let n = geometry.lines() as usize;
         TagStore {
             geometry,
             valid: vec![false; n],
             tag: vec![0; n],
-            lru_stamp: vec![0; n],
-            fill_stamp: vec![0; n],
+            rank: vec![0; n],
+            fill_rank: vec![0; n],
             cost_q: vec![0; n],
             dirty: vec![false; n],
-            next_stamp: 1,
         }
     }
 
@@ -76,6 +108,12 @@ impl TagStore {
         b..b + w
     }
 
+    /// Column index of `way` in the set `line` maps to.
+    #[inline]
+    fn index(&self, line: LineAddr, way: usize) -> usize {
+        self.range(self.geometry.set_index(line)).start + way
+    }
+
     /// Read-only view of one set, suitable for handing to a replacement
     /// engine.
     pub fn view(&self, set_index: u32) -> SetView<'_> {
@@ -83,8 +121,8 @@ impl TagStore {
         SetView::new(
             &self.valid[r.clone()],
             &self.tag[r.clone()],
-            &self.lru_stamp[r.clone()],
-            &self.fill_stamp[r.clone()],
+            &self.rank[r.clone()],
+            &self.fill_rank[r.clone()],
             &self.cost_q[r],
             set_index,
             self.geometry,
@@ -109,16 +147,22 @@ impl TagStore {
 
     /// Marks a resident way as most-recently-used (hit handling).
     pub fn touch(&mut self, line: LineAddr, way: usize) {
-        let stamp = self.take_stamp();
         let set = self.geometry.set_index(line);
-        let i = self.range(set).start + way;
+        let r = self.range(set);
+        let i = r.start + way;
         debug_assert!(self.valid[i], "touching an invalid way");
-        self.lru_stamp[i] = stamp;
+        if usize::from(self.rank[i]) + 1 == r.len() {
+            // Already MRU of a full set (the only way a rank reaches
+            // assoc - 1): nothing moves.
+            return;
+        }
+        self.rank[i] = close_gap(&mut self.rank[r], way);
         self.check_set_invariants(set);
     }
 
     /// Fills `line` into `way` of its set, returning the evicted block (if
-    /// the way held a valid one). The filled block becomes MRU.
+    /// the way held a valid one). The filled block becomes MRU and the
+    /// newest fill.
     pub fn fill(
         &mut self,
         line: LineAddr,
@@ -126,19 +170,29 @@ impl TagStore {
         dirty: bool,
         cost_q: CostQ,
     ) -> Option<Evicted> {
-        let stamp = self.take_stamp();
         let set = self.geometry.set_index(line);
         let tag = self.geometry.tag(line);
-        let i = self.range(set).start + way;
+        let r = self.range(set);
+        let i = r.start + way;
         let evicted = self.valid[i].then(|| Evicted {
             line: self.geometry.line_from_parts(self.tag[i], set),
             dirty: self.dirty[i],
             cost_q: self.cost_q[i],
         });
+        if evicted.is_some() {
+            // The set's valid count is unchanged: the newcomer takes the
+            // evicted block's place at the top of both stacks.
+            self.rank[i] = close_gap(&mut self.rank[r.clone()], way);
+            self.fill_rank[i] = close_gap(&mut self.fill_rank[r], way);
+        } else {
+            // One more valid way: it goes on top of both stacks. The way
+            // was invalid, so the count is below the 256-way cap.
+            let top = self.valid[r].iter().filter(|&&v| v).count() as u8;
+            self.rank[i] = top;
+            self.fill_rank[i] = top;
+        }
         self.valid[i] = true;
         self.tag[i] = tag;
-        self.lru_stamp[i] = stamp;
-        self.fill_stamp[i] = stamp;
         self.cost_q[i] = cost_q;
         self.dirty[i] = dirty;
         self.check_set_invariants(set);
@@ -149,18 +203,23 @@ impl TagStore {
     pub fn invalidate(&mut self, line: LineAddr) -> Option<Evicted> {
         let way = self.probe(line)?;
         let set = self.geometry.set_index(line);
-        let i = self.range(set).start + way;
+        let r = self.range(set);
+        let i = r.start + way;
         let evicted = Evicted {
             line,
             dirty: self.dirty[i],
             cost_q: self.cost_q[i],
         };
+        // Close the gap the way leaves in both stacks, then zero it.
+        close_gap(&mut self.rank[r.clone()], way);
+        close_gap(&mut self.fill_rank[r], way);
+        self.rank[i] = 0;
+        self.fill_rank[i] = 0;
         self.valid[i] = false;
         self.tag[i] = 0;
-        self.lru_stamp[i] = 0;
-        self.fill_stamp[i] = 0;
         self.cost_q[i] = 0;
         self.dirty[i] = false;
+        self.check_set_invariants(set);
         Some(evicted)
     }
 
@@ -170,10 +229,9 @@ impl TagStore {
     pub fn set_cost_q(&mut self, line: LineAddr, cost_q: CostQ) -> bool {
         match self.probe(line) {
             Some(way) => {
-                let set = self.geometry.set_index(line);
-                let i = self.range(set).start + way;
+                let i = self.index(line, way);
                 self.cost_q[i] = cost_q;
-                self.check_set_invariants(set);
+                self.check_set_invariants(self.geometry.set_index(line));
                 true
             }
             None => false,
@@ -182,23 +240,22 @@ impl TagStore {
 
     /// The stored `cost_q` of a resident line, if present.
     pub fn cost_q_of(&self, line: LineAddr) -> Option<CostQ> {
-        self.probe(line).map(|way| {
-            let set = self.geometry.set_index(line);
-            self.cost_q[self.range(set).start + way]
-        })
+        self.probe(line).map(|way| self.cost_q_at(line, way))
     }
 
-    /// Sets the dirty bit of a resident line. Returns `false` if absent.
-    pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
-        match self.probe(line) {
-            Some(way) => {
-                let set = self.geometry.set_index(line);
-                let i = self.range(set).start + way;
-                self.dirty[i] = true;
-                true
-            }
-            None => false,
-        }
+    /// The stored `cost_q` of `way` in `line`'s set: the hit path's read,
+    /// reusing the way its probe found.
+    #[inline]
+    pub fn cost_q_at(&self, line: LineAddr, way: usize) -> CostQ {
+        self.cost_q[self.index(line, way)]
+    }
+
+    /// Sets the dirty bit of `way` in `line`'s set: the hit path's write,
+    /// reusing the way its probe found.
+    #[inline]
+    pub fn mark_dirty_at(&mut self, line: LineAddr, way: usize) {
+        let i = self.index(line, way);
+        self.dirty[i] = true;
     }
 
     /// Number of valid blocks currently resident.
@@ -220,28 +277,31 @@ impl TagStore {
             })
     }
 
-    #[inline]
-    fn take_stamp(&mut self) -> u64 {
-        let s = self.next_stamp;
-        self.next_stamp += 1;
-        s
-    }
-
     /// Model check (under the `invariants` feature) after any mutation of
-    /// one set: every valid way has a distinct recency stamp drawn from the
-    /// stamps already issued, no two valid ways hold the same tag, and every
-    /// `cost_q` fits the 3-bit field of Fig. 3b.
+    /// one set: the valid ways' ranks and fill ranks are each a permutation
+    /// of `0..valid_count` and invalid ways hold 0 in both, no two valid
+    /// ways hold the same tag, and every `cost_q` fits the 3-bit field of
+    /// Fig. 3b.
     #[cfg(feature = "invariants")]
     fn check_set_invariants(&self, set_index: u32) {
         let r = self.range(set_index);
+        let valid = &self.valid[r.clone()];
+        crate::invariant!(
+            crate::set::is_rank_permutation(valid, &self.rank[r.clone()]),
+            "recency ranks of valid ways must be a permutation of 0..valid_count"
+        );
+        crate::invariant!(
+            crate::set::is_rank_permutation(valid, &self.fill_rank[r.clone()]),
+            "fill ranks of valid ways must be a permutation of 0..valid_count"
+        );
         for i in r.clone() {
             if !self.valid[i] {
+                crate::invariant!(
+                    self.rank[i] == 0 && self.fill_rank[i] == 0,
+                    "invalid ways hold rank 0"
+                );
                 continue;
             }
-            crate::invariant!(
-                self.lru_stamp[i] < self.next_stamp && self.fill_stamp[i] < self.next_stamp,
-                "stamps must come from the monotonic source"
-            );
             crate::invariant!(
                 self.cost_q[i] <= crate::meta::COST_Q_MAX,
                 "cost_q is a 3-bit field"
@@ -250,10 +310,6 @@ impl TagStore {
                 crate::invariant!(
                     !self.valid[j] || self.tag[j] != self.tag[i],
                     "a tag may be resident in at most one way of a set"
-                );
-                crate::invariant!(
-                    !self.valid[j] || self.lru_stamp[j] != self.lru_stamp[i],
-                    "recency stamps are unique, so ranks form a permutation"
                 );
             }
         }
@@ -319,7 +375,8 @@ mod tests {
         t.touch(a, 0);
         let view = t.view(0);
         assert_eq!(view.lru_way(), Some(1));
-        assert_eq!(view.recency_ranks(), vec![1, 0]);
+        assert_eq!(view.recency_ranks(), [1, 0]);
+        assert_eq!(view.fill_ranks(), [0, 1], "a touch leaves the fill order");
     }
 
     #[test]
@@ -332,6 +389,46 @@ mod tests {
         assert!(ev.dirty);
         assert!(!t.contains(a));
         assert_eq!(t.invalidate(a), None);
+    }
+
+    #[test]
+    fn invalidate_closes_the_gap_in_both_stacks() {
+        let mut t = TagStore::new(Geometry::from_sets(1, 4, 64));
+        for (way, line) in [3u64, 1, 2, 0].into_iter().enumerate() {
+            t.fill(LineAddr(line), way, false, 0);
+        }
+        t.touch(LineAddr(3), 0);
+        assert_eq!(t.view(0).recency_ranks(), [3, 0, 1, 2]);
+        assert_eq!(t.view(0).fill_ranks(), [0, 1, 2, 3]);
+        t.invalidate(LineAddr(1));
+        assert_eq!(t.view(0).recency_ranks(), [2, 0, 0, 1]);
+        assert_eq!(t.view(0).fill_ranks(), [0, 0, 1, 2]);
+        // The refill of the hole lands on top of both stacks.
+        t.fill(LineAddr(9), 1, false, 0);
+        assert_eq!(t.view(0).recency_ranks(), [2, 3, 0, 1]);
+        assert_eq!(t.view(0).fill_ranks(), [0, 3, 1, 2]);
+        assert_eq!(t.view(0).lru_way(), Some(2));
+        assert_eq!(t.view(0).oldest_fill_way(), Some(0));
+    }
+
+    #[test]
+    fn the_largest_associativity_is_supported() {
+        let g = Geometry::from_sets(1, MAX_WAYS, 64);
+        let mut t = TagStore::new(g);
+        for line in 0..u64::from(MAX_WAYS) {
+            t.fill(LineAddr(line), line as usize, false, 0);
+        }
+        t.touch(LineAddr(0), 0);
+        let v = t.view(0);
+        assert_eq!(v.recency_ranks()[0], 255);
+        assert_eq!(v.lru_way(), Some(1));
+        assert_eq!(v.oldest_fill_way(), Some(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 ways")]
+    fn associativity_above_the_rank_width_is_refused() {
+        let _ = TagStore::new(Geometry::from_sets(1, MAX_WAYS + 1, 64));
     }
 
     #[test]
@@ -365,10 +462,9 @@ mod tests {
         let mut t = store();
         let a = LineAddr(7);
         t.fill(a, 0, false, 0);
-        assert!(t.mark_dirty(a));
+        t.mark_dirty_at(a, 0);
         let ev = t.invalidate(a).unwrap();
         assert!(ev.dirty);
-        assert!(!t.mark_dirty(a));
     }
 
     #[test]
@@ -382,7 +478,7 @@ mod tests {
         assert_eq!(v.cost_q(1), 6);
         assert_eq!(v.line_of(0), Some(LineAddr(0)));
         assert_eq!(v.line_of(1), Some(LineAddr(4)));
-        assert!(v.lru_stamp(0) < v.lru_stamp(1), "fill order sets recency");
-        assert_eq!(v.fill_stamp(0), v.lru_stamp(0));
+        assert_eq!(v.recency_ranks(), [0, 1], "fill order sets recency");
+        assert_eq!(v.fill_ranks(), v.recency_ranks());
     }
 }

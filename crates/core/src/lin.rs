@@ -53,22 +53,26 @@ impl LinEngine {
 
 impl ReplacementEngine for LinEngine {
     fn victim(&mut self, ctx: &VictimCtx<'_>) -> usize {
-        let ranks = ctx.set.recency_ranks();
-        let mut best_way = None;
-        let mut best_score = u32::MAX;
-        let mut best_rank = u8::MAX;
-        for way in ctx.set.valid_ways() {
-            let rank = ranks[way];
-            let score = self.score(rank, ctx.set.cost_q(way));
-            // Strict less-than on score; ties break to the smallest
-            // recency rank as the paper specifies.
-            if score < best_score || (score == best_score && rank < best_rank) {
-                best_way = Some(way);
-                best_score = score;
-                best_rank = rank;
-            }
-        }
-        best_way.expect("victim() is only invoked on full sets")
+        // The tag store keeps `R(i)` as a stored column, so this is one
+        // pass over the set's columns with no ranking step. Each valid
+        // way's key packs (score, rank, way), so the smallest key is the
+        // victim: lowest score, ties to the smallest recency rank as the
+        // paper specifies. The way index only separates equal ranks,
+        // which the tag store never holds, in favor of the first way.
+        let set = &ctx.set;
+        let key = set
+            .valid_flags()
+            .iter()
+            .zip(set.recency_ranks())
+            .zip(set.cost_qs())
+            .zip(0u64..)
+            .filter(|&(((&valid, _), _), _)| valid)
+            .map(|(((_, &rank), &cost_q), way)| {
+                (u64::from(self.score(rank, cost_q)) << 24) | (u64::from(rank) << 16) | way
+            })
+            .min()
+            .expect("victim() is only invoked on full sets");
+        usize::from(u16::try_from(key & 0xffff).expect("the way index is masked to 16 bits"))
     }
 
     fn name(&self) -> &'static str {

@@ -14,7 +14,7 @@
 use crate::leader::{LeaderSets, SelectionPolicy};
 use crate::lin::LinEngine;
 use crate::psel::{Psel, PselWatch};
-use mlpsim_cache::addr::{Geometry, LineAddr};
+use mlpsim_cache::addr::{Geometry, LineAddr, LineBuildHasher};
 use mlpsim_cache::atd::Atd;
 use mlpsim_cache::lru::LruEngine;
 use mlpsim_cache::meta::CostQ;
@@ -102,7 +102,11 @@ pub struct SbarEngine {
     psel: Psel,
     /// Leader-set misses that hit in ATD-LRU: PSEL must be decremented by
     /// the miss's cost_q, which is only known when the miss is serviced.
-    pending_dec: HashMap<LineAddr, u32>,
+    /// Looked up on every serviced miss, so it uses the fixed
+    /// [`LineHasher`](mlpsim_cache::addr::LineHasher) rather than
+    /// SipHash. It is only read through `entry` and `remove`, never
+    /// iterated, so bucket layout cannot reach the output.
+    pending_dec: HashMap<LineAddr, u32, LineBuildHasher>,
     stats: SbarStats,
     sink: SinkHandle,
     watch: PselWatch,
@@ -133,7 +137,7 @@ impl SbarEngine {
             leaders,
             atd_lru: Atd::new(geometry, Box::new(LruEngine::new())),
             psel,
-            pending_dec: HashMap::new(),
+            pending_dec: HashMap::default(),
             stats: SbarStats::default(),
             sink: SinkHandle::disabled(),
             watch: PselWatch::new(&psel),

@@ -219,15 +219,18 @@ fn lin_victim_is_argmin() {
     for lambda in [0u32, 1, 2, 4, 8] {
         let mut lin = mlpsim_core::lin::LinEngine::new(lambda);
         for _ in 0..200 {
+            // A random LRU stack: the tag store keeps the valid ways'
+            // recency ranks a permutation of 0..8 (Fisher-Yates).
+            let mut stack: Vec<u8> = (0..8).collect();
+            for i in (1..stack.len()).rev() {
+                stack.swap(i, (rng() % (i as u64 + 1)) as usize);
+            }
             let ways: Vec<WayMeta> = (0..8)
                 .map(|i| WayMeta {
                     valid: true,
                     tag: i,
-                    // Distinct by construction: the tag store's monotonic
-                    // stamp source never hands out duplicates, and the
-                    // recency ranks are only a permutation without them.
-                    lru_stamp: (rng() % 1000) * 8 + i,
-                    fill_stamp: 0,
+                    rank: stack[i as usize],
+                    fill_rank: 0,
                     cost_q: (rng() % 8) as u8,
                     dirty: false,
                 })

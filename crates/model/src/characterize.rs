@@ -32,20 +32,19 @@
 //! exactly the top of the set's LRU stack, so this is exact for every
 //! associativity [`SetLruProfile::lru_misses`] answers.
 //!
-//! Determinism: the interning map is a `HashMap` under a fixed
-//! multiplicative hasher, and it is only ever looked up, never iterated,
+//! Determinism: the interning map is a `HashMap` under the fixed
+//! [`LineHasher`](mlpsim_cache::addr::LineHasher), and it is only ever looked up, never iterated,
 //! so its layout cannot reach the output. Ids are assigned in
 //! first-touch order and everything downstream is indexed by id or
 //! distance, so a profile is a pure function of the access sequence.
 
 use crate::stackdist::StackDist;
 use crate::zipf::{self, ZipfFit};
-use mlpsim_cache::addr::{Geometry, LineAddr};
+use mlpsim_cache::addr::{Geometry, LineAddr, LineBuildHasher};
 use mlpsim_cache::lru::LruEngine;
 use mlpsim_cache::model::CacheModel;
 use mlpsim_trace::record::{AccessKind, Trace};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Per-set stack distances are tracked exactly up to this many ways; an
 /// associativity at or above the cap falls back to the analytical
@@ -367,7 +366,7 @@ fn characterized_lines(trace: &Trace, l1: Option<Geometry>) -> Vec<u64> {
 /// Dense ids for a line stream, assigned in first-touch order: the
 /// stream as ids, and `line_of[id]`, each distinct line once.
 fn intern(lines: Vec<u64>) -> (Vec<u32>, Vec<u64>) {
-    let mut index: HashMap<u64, u32, BuildHasherDefault<LineHasher>> = HashMap::default();
+    let mut index: HashMap<u64, u32, LineBuildHasher> = HashMap::default();
     let mut line_of = Vec::new();
     let ids = lines
         .into_iter()
@@ -382,29 +381,6 @@ fn intern(lines: Vec<u64>) -> (Vec<u32>, Vec<u64>) {
         })
         .collect();
     (ids, line_of)
-}
-
-/// Fixed multiplicative hasher for line addresses: a 128-bit multiply by
-/// a 64-bit odd constant, folded, so both halves of the line address
-/// reach the bucket bits. No per-process seed.
-#[derive(Default)]
-struct LineHasher(u64);
-
-impl Hasher for LineHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        let p = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
-        self.0 = (p as u64) ^ ((p >> 64) as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 #[cfg(test)]
