@@ -9,7 +9,7 @@
 //! * [`sampling`] — the analytical leader-set sampling model of §6.3
 //!   (Eqs. 3–5, Fig. 8),
 //! * [`stats`] — mean/sd/CI summaries for multi-seed robustness runs,
-//! * [`table`] — plain-text table rendering for the experiment binaries,
+//! * [`table`] — plain-text table rendering for the experiment reports,
 //! * [`util`] — small numeric helpers (percent improvement, means).
 
 pub mod delta;

@@ -303,7 +303,10 @@ mod tests {
         // even a synthetic top-of-space line neither panics nor alters
         // the exact round trip for values that fit.
         let near_top = LineAddr(u64::MAX / 64);
-        assert_eq!(LineAddr::from_byte_addr(near_top.byte_addr(64), 64), near_top);
+        assert_eq!(
+            LineAddr::from_byte_addr(near_top.byte_addr(64), 64),
+            near_top
+        );
         let g = Geometry::new(1 << 20, 16, 64).expect("valid baseline-like geometry");
         let line = LineAddr(u64::MAX / 64);
         assert_eq!(g.line_from_parts(g.tag(line), g.set_index(line)), line);

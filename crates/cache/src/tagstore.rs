@@ -23,7 +23,7 @@ use crate::set::SetView;
 /// position in its set's LRU stack, `R(i)` of §5.1, in an 8-bit `rank`
 /// column (0 = LRU … valid-1 = MRU), with the fill order in a second
 /// `fill_rank` column (0 = oldest fill). Both are updated in place on every
-/// touch, fill and invalidation, so a replacement engine reads `R(i)`
+/// touch and fill, so a replacement engine reads `R(i)`
 /// directly instead of deriving it. The valid ways' ranks in each column
 /// are a permutation of `0..valid_count`, and invalid ways hold 0.
 ///
@@ -199,30 +199,6 @@ impl TagStore {
         evicted
     }
 
-    /// Invalidates a resident line, returning its eviction record.
-    pub fn invalidate(&mut self, line: LineAddr) -> Option<Evicted> {
-        let way = self.probe(line)?;
-        let set = self.geometry.set_index(line);
-        let r = self.range(set);
-        let i = r.start + way;
-        let evicted = Evicted {
-            line,
-            dirty: self.dirty[i],
-            cost_q: self.cost_q[i],
-        };
-        // Close the gap the way leaves in both stacks, then zero it.
-        close_gap(&mut self.rank[r.clone()], way);
-        close_gap(&mut self.fill_rank[r], way);
-        self.rank[i] = 0;
-        self.fill_rank[i] = 0;
-        self.valid[i] = false;
-        self.tag[i] = 0;
-        self.cost_q[i] = 0;
-        self.dirty[i] = false;
-        self.check_set_invariants(set);
-        Some(evicted)
-    }
-
     /// Updates the stored `cost_q` of a resident line (done when the miss
     /// that fetched it is finally serviced and its MLP-based cost is known).
     /// Returns `false` if the line is no longer resident.
@@ -320,7 +296,7 @@ impl TagStore {
     fn check_set_invariants(&self, _set_index: u32) {}
 }
 
-/// Record of a block evicted (or invalidated) from a tag store.
+/// Record of a block evicted from a tag store.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Evicted {
     /// The evicted line's address.
@@ -380,38 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_removes_line() {
-        let mut t = store();
-        let a = LineAddr(2);
-        t.fill(a, 1, true, 5);
-        let ev = t.invalidate(a).unwrap();
-        assert_eq!(ev.line, a);
-        assert!(ev.dirty);
-        assert!(!t.contains(a));
-        assert_eq!(t.invalidate(a), None);
-    }
-
-    #[test]
-    fn invalidate_closes_the_gap_in_both_stacks() {
-        let mut t = TagStore::new(Geometry::from_sets(1, 4, 64));
-        for (way, line) in [3u64, 1, 2, 0].into_iter().enumerate() {
-            t.fill(LineAddr(line), way, false, 0);
-        }
-        t.touch(LineAddr(3), 0);
-        assert_eq!(t.view(0).recency_ranks(), [3, 0, 1, 2]);
-        assert_eq!(t.view(0).fill_ranks(), [0, 1, 2, 3]);
-        t.invalidate(LineAddr(1));
-        assert_eq!(t.view(0).recency_ranks(), [2, 0, 0, 1]);
-        assert_eq!(t.view(0).fill_ranks(), [0, 0, 1, 2]);
-        // The refill of the hole lands on top of both stacks.
-        t.fill(LineAddr(9), 1, false, 0);
-        assert_eq!(t.view(0).recency_ranks(), [2, 3, 0, 1]);
-        assert_eq!(t.view(0).fill_ranks(), [0, 3, 1, 2]);
-        assert_eq!(t.view(0).lru_way(), Some(2));
-        assert_eq!(t.view(0).oldest_fill_way(), Some(0));
-    }
-
-    #[test]
     fn the_largest_associativity_is_supported() {
         let g = Geometry::from_sets(1, MAX_WAYS, 64);
         let mut t = TagStore::new(g);
@@ -463,7 +407,9 @@ mod tests {
         let a = LineAddr(7);
         t.fill(a, 0, false, 0);
         t.mark_dirty_at(a, 0);
-        let ev = t.invalidate(a).unwrap();
+        // Line 11 maps to the same set; refilling the way evicts `a`.
+        let ev = t.fill(LineAddr(11), 0, false, 0).unwrap();
+        assert_eq!(ev.line, a);
         assert!(ev.dirty);
     }
 

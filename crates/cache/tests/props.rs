@@ -136,7 +136,7 @@ proptest! {
     }
 
     /// Tag-store invariant: a filled line is resident exactly until it is
-    /// evicted or invalidated, and cost updates stick.
+    /// evicted, and cost updates stick.
     #[test]
     fn fill_probe_agree(ops in prop::collection::vec((0u64..64, 0u8..8), 1..300)) {
         let geom = Geometry::from_sets(4, 2, 64);

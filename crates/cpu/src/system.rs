@@ -283,7 +283,11 @@ impl<P: Probe> System<P> {
             }
             // `ensure_dispatch_slot` returned, so dispatched < width and
             // both the subtraction and the accumulate below are exact.
-            let width_left = self.cfg.cpu.width.saturating_sub(self.dispatched_this_cycle);
+            let width_left = self
+                .cfg
+                .cpu
+                .width
+                .saturating_sub(self.dispatched_this_cycle);
             let burst = remaining.min(width_left).min(self.window.free() as u32);
             self.window.push_computes(burst, self.now);
             self.dispatched_this_cycle = self.dispatched_this_cycle.saturating_add(burst);

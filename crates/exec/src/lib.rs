@@ -17,7 +17,7 @@
 //!
 //! The worker count defaults to [`std::thread::available_parallelism`],
 //! overridable with the `MLPSIM_JOBS` environment variable or the
-//! experiment binaries' `--jobs N` flag (see [`default_jobs`]).
+//! `mlpsim` experiments' `--jobs N` flag (see [`default_jobs`]).
 
 /// Model-checking assertion for the worker-pool ordering contract (one
 /// result per submitted job, reassembled in submission order). Compiled to

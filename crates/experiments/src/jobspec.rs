@@ -5,7 +5,7 @@
 //! write-ahead job journal: a spec parses from JSON ([`JobSpec::from_json`],
 //! using the dependency-free `telemetry::json` parser), re-encodes
 //! canonically ([`JobSpec::to_json`]) for journaling, and executes through
-//! the *same* [`crate::figures`] run path the CLI binaries use — so a
+//! the *same* [`crate::figures`] run path the `mlpsim` CLI uses — so a
 //! submitted job's result is byte-identical to the direct invocation.
 //!
 //! ```json
@@ -20,6 +20,7 @@
 //! width is an explicit opt-in), `deadline_ms` to none. A `sweep` without
 //! `benches`/`policies` covers all 14 benchmarks under LRU and LIN(4).
 
+use crate::cli::parse_bench;
 use crate::figures::{try_fig5_report, try_sweep_report};
 use crate::runner::{
     try_profile_benches, CellSpanSink, RunOptions, DEFAULT_ACCESSES, DEFAULT_SEED,
@@ -156,11 +157,7 @@ impl JobSpec {
                         for item in items {
                             let name =
                                 item.as_str().ok_or("\"benches\" wants an array of names")?;
-                            out.push(SpecBench::from_name(name).ok_or_else(|| {
-                                let known: Vec<&str> =
-                                    SpecBench::ALL.iter().map(|b| b.name()).collect();
-                                format!("unknown benchmark {name:?}; known: {}", known.join(", "))
-                            })?);
+                            out.push(parse_bench(name)?);
                         }
                         out
                     }
@@ -485,7 +482,7 @@ mod tests {
         let via_spec = spec
             .run(SinkHandle::disabled(), &CancelToken::new())
             .unwrap();
-        let direct = crate::figures::sweep_report(
+        let direct = try_sweep_report(
             &[SpecBench::Mcf],
             &[PolicyKind::Lru],
             &RunOptions {
@@ -493,7 +490,9 @@ mod tests {
                 jobs: 1,
                 ..RunOptions::default()
             },
-        );
+            &CancelToken::new(),
+        )
+        .unwrap();
         assert_eq!(via_spec, direct, "one run path, byte-identical");
     }
 }

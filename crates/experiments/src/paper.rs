@@ -1,5 +1,5 @@
 //! Reference numbers transcribed from the paper, used to print
-//! paper-vs-measured comparisons in the experiment binaries and to anchor
+//! paper-vs-measured comparisons in the experiment reports and to anchor
 //! `EXPERIMENTS.md`.
 
 use mlpsim_trace::spec::SpecBench;

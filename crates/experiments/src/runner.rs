@@ -1,4 +1,4 @@
-//! Shared simulation driver for the experiment binaries.
+//! Shared simulation driver for the experiments.
 //!
 //! # Parallel sweeps
 //!
@@ -7,7 +7,7 @@
 //! [`run_many`], its one-benchmark special case) fans the cells out over a
 //! [`WorkerPool`] sized by [`RunOptions::jobs`] — default
 //! [`mlpsim_exec::default_jobs`] (all hardware threads, `MLPSIM_JOBS`
-//! override), `--jobs N` on every experiment binary.
+//! override), `--jobs N` on the command line.
 //!
 //! **Determinism guarantee:** a sweep's observable output — returned
 //! [`SimResult`]s, printed tables, and the `--telemetry` NDJSON stream —
@@ -26,9 +26,7 @@ use mlpsim_cpu::stats::SimResult;
 use mlpsim_cpu::system::System;
 use mlpsim_exec::{CancelToken, Cancelled, SpanHook, WorkerPool};
 use mlpsim_model::characterize::{profile_trace, CharacterizeConfig, TraceProfile};
-use mlpsim_telemetry::{
-    ChromeTraceSink, Event, EventSink, FanoutSink, NdjsonSink, SinkHandle, SinkProbe, VecSink,
-};
+use mlpsim_telemetry::{Event, EventSink, SinkHandle, SinkProbe, VecSink};
 use mlpsim_trace::record::Trace;
 use mlpsim_trace::spec::SpecBench;
 use std::sync::{Arc, Mutex};
@@ -98,182 +96,14 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// Default options with `--telemetry`, `--trace-out`, `--accesses`,
-    /// and `--jobs` parsed from the process's command line; exits with a
-    /// message on a malformed flag.
-    pub fn from_env() -> Self {
-        RunOptions {
-            telemetry: sinks_from_env(),
-            accesses: accesses_from_env(),
-            jobs: jobs_from_env(),
-            ..RunOptions::default()
-        }
+    /// The baseline machine under `policy`, with these options' sampling
+    /// interval and CCL adders.
+    fn config(&self, policy: PolicyKind) -> SystemConfig {
+        let mut cfg = SystemConfig::baseline(policy);
+        cfg.sample_interval = self.sample_interval;
+        cfg.adders = self.adders;
+        cfg
     }
-}
-
-/// Scans `args` for `<flag> <path>` (or `<flag>=<path>`). The two-token
-/// form refuses flag-like paths (`--telemetry --accesses` must not
-/// silently eat `--accesses`; spell a genuinely dash-prefixed filename
-/// with the `=` form), and the `=` form refuses an empty path.
-fn path_flag(args: &[String], flag: &str) -> Result<Option<String>, String> {
-    let mut path: Option<String> = None;
-    let eq_form = format!("{flag}=");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            match it.next() {
-                Some(p) if p.starts_with("--") => {
-                    return Err(format!(
-                        "{flag} requires a path argument, got the flag-like {p:?} \
-                         (use {flag}={p} for a path that really starts with \"--\")"
-                    ));
-                }
-                Some(p) => path = Some(p.clone()),
-                None => return Err(format!("{flag} requires a path argument")),
-            }
-        } else if let Some(p) = a.strip_prefix(&eq_form) {
-            if p.is_empty() {
-                return Err(format!("{eq_form} requires a non-empty path"));
-            }
-            path = Some(p.to_string());
-        }
-    }
-    Ok(path)
-}
-
-/// Builds [`RunOptions::telemetry`] from a command line: scans `args` for
-/// `--telemetry <path>` (or `--telemetry=<path>`) and opens an NDJSON sink
-/// there. Returns a disabled handle when the flag is absent and an error
-/// when the path is missing, looks like another flag (`--telemetry
-/// --accesses` must not silently eat `--accesses`; spell a genuinely
-/// dash-prefixed filename as `--telemetry=--weird-name`), or cannot be
-/// created (an experiment run whose requested telemetry silently vanishes
-/// is worse than no run).
-pub fn telemetry_from_args(args: &[String]) -> Result<SinkHandle, String> {
-    match path_flag(args, "--telemetry")? {
-        None => Ok(SinkHandle::disabled()),
-        Some(p) => match NdjsonSink::create(&p) {
-            Ok(sink) => Ok(SinkHandle::of(sink)),
-            Err(e) => Err(format!("cannot create telemetry file {p}: {e}")),
-        },
-    }
-}
-
-/// [`telemetry_from_args`] over the process's own command line; exits with
-/// the parse error on a malformed flag.
-pub fn telemetry_from_env() -> SinkHandle {
-    telemetry_from_args(&env_args()).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
-}
-
-/// Builds the full event sink from a command line: `--telemetry <path>`
-/// opens an NDJSON stream, `--trace-out <path>` a Chrome trace-event JSON
-/// file (load it in `chrome://tracing` or Perfetto). Either alone, both
-/// fanned out from one stream ([`FanoutSink`]), or a disabled handle when
-/// neither flag is present.
-pub fn sinks_from_args(args: &[String]) -> Result<SinkHandle, String> {
-    let ndjson = path_flag(args, "--telemetry")?;
-    let trace = path_flag(args, "--trace-out")?;
-    let open_ndjson = |p: &str| {
-        NdjsonSink::create(p).map_err(|e| format!("cannot create telemetry file {p}: {e}"))
-    };
-    let open_trace = |p: &str| {
-        ChromeTraceSink::create(p).map_err(|e| format!("cannot create trace file {p}: {e}"))
-    };
-    Ok(match (ndjson, trace) {
-        (None, None) => SinkHandle::disabled(),
-        (Some(np), None) => SinkHandle::of(open_ndjson(&np)?),
-        (None, Some(tp)) => SinkHandle::of(open_trace(&tp)?),
-        (Some(np), Some(tp)) => SinkHandle::of(
-            FanoutSink::new()
-                .with(open_ndjson(&np)?)
-                .with(open_trace(&tp)?),
-        ),
-    })
-}
-
-/// [`sinks_from_args`] over the process's own command line; exits with the
-/// parse error on a malformed flag.
-pub fn sinks_from_env() -> SinkHandle {
-    sinks_from_args(&env_args()).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
-}
-
-/// Scans `args` for `--accesses <N>` (or `--accesses=<N>`): the per-run
-/// access count, defaulting to [`DEFAULT_ACCESSES`]. Zero is rejected —
-/// an empty run renders every table meaningless.
-pub fn accesses_from_args(args: &[String]) -> Result<usize, String> {
-    let mut accesses: Option<usize> = None;
-    let parse = |raw: &str| -> Result<usize, String> {
-        match raw.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!("--accesses wants a positive integer, got {raw:?}")),
-        }
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--accesses" {
-            match it.next() {
-                Some(n) => accesses = Some(parse(n)?),
-                None => return Err("--accesses requires a count argument".into()),
-            }
-        } else if let Some(n) = a.strip_prefix("--accesses=") {
-            accesses = Some(parse(n)?);
-        }
-    }
-    Ok(accesses.unwrap_or(DEFAULT_ACCESSES))
-}
-
-/// [`accesses_from_args`] over the process's own command line; exits with
-/// the parse error on a malformed flag.
-pub fn accesses_from_env() -> usize {
-    accesses_from_args(&env_args()).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
-}
-
-/// Builds [`RunOptions::jobs`] from a command line: scans `args` for
-/// `--jobs <N>`, `--jobs=<N>`, `-j <N>`, or `-j<N>`. Absent the flag,
-/// falls back to [`mlpsim_exec::default_jobs`] (the `MLPSIM_JOBS`
-/// environment variable, then the hardware thread count).
-pub fn jobs_from_args(args: &[String]) -> Result<usize, String> {
-    let mut jobs: Option<usize> = None;
-    let mut it = args.iter();
-    let parse = |raw: &str| -> Result<usize, String> {
-        match raw.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!("--jobs wants a positive integer, got {raw:?}")),
-        }
-    };
-    while let Some(a) = it.next() {
-        if a == "--jobs" || a == "-j" {
-            match it.next() {
-                Some(n) => jobs = Some(parse(n)?),
-                None => return Err(format!("{a} requires a worker-count argument")),
-            }
-        } else if let Some(n) = a.strip_prefix("--jobs=") {
-            jobs = Some(parse(n)?);
-        } else if let Some(n) = a.strip_prefix("-j") {
-            if !n.is_empty() {
-                jobs = Some(parse(n)?);
-            }
-        }
-    }
-    Ok(jobs.unwrap_or_else(mlpsim_exec::default_jobs))
-}
-
-/// [`jobs_from_args`] over the process's own command line; exits with the
-/// parse error on a malformed flag.
-pub fn jobs_from_env() -> usize {
-    jobs_from_args(&env_args()).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
 }
 
 /// Sweep-planner options (`--plan estimate`); `None` means a full sweep.
@@ -291,83 +121,6 @@ impl Default for PlanOptions {
             margin: mlpsim_model::plan::DEFAULT_PRUNE_MARGIN,
         }
     }
-}
-
-/// Scans `args` for `--plan <mode>` (or `--plan=<mode>`) and
-/// `--prune-margin <F>` (or `--prune-margin=<F>`). Mode `estimate`
-/// enables the analytical planner; `full` (the default) runs the whole
-/// sweep. The margin must be a finite non-negative number and only makes
-/// sense with `--plan estimate` — a margin without a plan is rejected
-/// rather than silently ignored.
-pub fn plan_from_args(args: &[String]) -> Result<Option<PlanOptions>, String> {
-    let mut mode: Option<String> = None;
-    let mut margin: Option<f64> = None;
-    let parse_mode = |raw: &str| -> Result<String, String> {
-        match raw {
-            "estimate" | "full" => Ok(raw.to_string()),
-            _ => Err(format!(
-                "--plan wants \"estimate\" or \"full\", got {raw:?}"
-            )),
-        }
-    };
-    let parse_margin = |raw: &str| -> Result<f64, String> {
-        match raw.parse::<f64>() {
-            Ok(m) if m.is_finite() && m >= 0.0 => Ok(m),
-            _ => Err(format!(
-                "--prune-margin wants a finite non-negative number, got {raw:?}"
-            )),
-        }
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--plan" {
-            match it.next() {
-                Some(m) => mode = Some(parse_mode(m)?),
-                None => return Err("--plan requires a mode argument".into()),
-            }
-        } else if let Some(m) = a.strip_prefix("--plan=") {
-            mode = Some(parse_mode(m)?);
-        } else if a == "--prune-margin" {
-            match it.next() {
-                Some(m) => margin = Some(parse_margin(m)?),
-                None => return Err("--prune-margin requires a number argument".into()),
-            }
-        } else if let Some(m) = a.strip_prefix("--prune-margin=") {
-            margin = Some(parse_margin(m)?);
-        }
-    }
-    match (mode.as_deref(), margin) {
-        (Some("estimate"), m) => Ok(Some(PlanOptions {
-            margin: m.unwrap_or(mlpsim_model::plan::DEFAULT_PRUNE_MARGIN),
-        })),
-        (_, Some(_)) => Err("--prune-margin requires --plan estimate".into()),
-        _ => Ok(None),
-    }
-}
-
-/// [`plan_from_args`] over the process's own command line; exits with the
-/// parse error on a malformed flag.
-pub fn plan_from_env() -> Option<PlanOptions> {
-    plan_from_args(&env_args()).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
-}
-
-fn env_args() -> Vec<String> {
-    std::env::args().skip(1).collect()
-}
-
-/// Runs `bench` under `policy` on the baseline machine with default
-/// options.
-pub fn run_bench(bench: SpecBench, policy: PolicyKind) -> SimResult {
-    run_bench_with(bench, policy, &RunOptions::default())
-}
-
-/// Runs `bench` under `policy` with explicit options.
-pub fn run_bench_with(bench: SpecBench, policy: PolicyKind, opts: &RunOptions) -> SimResult {
-    let trace = bench.generate(opts.accesses, opts.seed);
-    run_trace(&trace, policy, opts)
 }
 
 /// Generates the benchmark's trace once and runs it under each policy —
@@ -394,10 +147,8 @@ pub fn run_matrix(
     policies: &[PolicyKind],
     opts: &RunOptions,
 ) -> Vec<Vec<SimResult>> {
-    match try_run_matrix(benches, policies, opts, &CancelToken::new()) {
-        Ok(rows) => rows,
-        Err(_) => unreachable!("a private fresh token is never cancelled"),
-    }
+    try_run_matrix(benches, policies, opts, &CancelToken::new())
+        .unwrap_or_else(|_| unreachable!("a private fresh token is never cancelled"))
 }
 
 /// [`run_matrix`] with cooperative cancellation for the serving layer:
@@ -418,24 +169,7 @@ pub fn try_run_matrix(
     opts: &RunOptions,
     cancel: &CancelToken,
 ) -> Result<Vec<Vec<SimResult>>, Cancelled> {
-    let pool = WorkerPool::new(opts.jobs);
-    let (accesses, seed) = (opts.accesses, opts.seed);
-    let traces: Vec<Arc<Trace>> = pool.try_map_ordered(
-        benches
-            .iter()
-            .map(|&b| move || Arc::new(b.generate(accesses, seed)))
-            .collect(),
-        cancel,
-    )?;
-
-    let cell = CellOptions::of(opts);
-    let mut jobs = Vec::with_capacity(benches.len() * policies.len());
-    for trace in &traces {
-        for &policy in policies {
-            let trace = Arc::clone(trace);
-            jobs.push(move || cell.run(&trace, policy));
-        }
-    }
+    let machines: Vec<SystemConfig> = policies.iter().map(|&p| opts.config(p)).collect();
     // Cells are submitted bench-major, policy-minor, so a flat submission
     // index decomposes back into (row, col) for the span observer.
     let hook = opts.cell_spans.as_ref().map(|sink| {
@@ -446,25 +180,15 @@ pub fn try_run_matrix(
             record: Arc::new(move |idx, t0, t1| cb(idx / ncols, idx % ncols, t0, t1)),
         }
     });
-    let cells = pool.try_map_ordered_spanned(jobs, cancel, hook.as_ref())?;
-
-    let mut rows = Vec::with_capacity(benches.len());
-    let mut it = cells.into_iter();
-    for _ in 0..traces.len() {
-        let mut row = Vec::with_capacity(policies.len());
-        for _ in 0..policies.len() {
-            let (result, events) = it.next().expect("one cell per (bench, policy)");
-            // Replay this run's buffered events into the shared sink;
-            // submission order here *is* serial sweep order, so the NDJSON
-            // stream is bit-identical to a `-j1` (or pre-pool) run.
-            for ev in events {
-                opts.telemetry.emit(ev);
-            }
-            row.push(result);
-        }
-        rows.push(row);
-    }
-    Ok(rows)
+    sweep(
+        &WorkerPool::new(opts.jobs),
+        benches,
+        (opts.accesses, opts.seed),
+        &machines,
+        &opts.telemetry,
+        cancel,
+        hook.as_ref(),
+    )
 }
 
 /// Generates each bench's trace and profiles it the way the sweep
@@ -520,143 +244,134 @@ pub fn try_run_cells(
     opts: &RunOptions,
     cancel: &CancelToken,
 ) -> Result<Vec<SimResult>, Cancelled> {
-    let pool = WorkerPool::new(opts.jobs);
-    let cell = CellOptions::of(opts);
-    let jobs: Vec<_> = cells
+    run_cells(
+        &WorkerPool::new(opts.jobs),
+        traces,
+        cells.iter().map(|&(ti, policy)| (ti, opts.config(policy))),
+        &opts.telemetry,
+        cancel,
+        None,
+    )
+}
+
+/// Runs each bench's trace — generated once, `accesses` long, seed
+/// [`DEFAULT_SEED`] — on machines other than the baseline: one cell per
+/// `variants` × `policies` pair, configured by `config`, on `jobs`
+/// workers. Returns `[bench][variant][policy]`, identical at any job
+/// count.
+pub fn run_variants<V: Copy>(
+    benches: &[SpecBench],
+    accesses: usize,
+    variants: &[V],
+    policies: &[PolicyKind],
+    jobs: usize,
+    config: fn(PolicyKind, V) -> SystemConfig,
+) -> Vec<Vec<Vec<SimResult>>> {
+    let machines: Vec<SystemConfig> = variants
         .iter()
-        .map(|&(ti, policy)| {
+        .flat_map(|&v| policies.iter().map(move |&p| config(p, v)))
+        .collect();
+    let rows = sweep(
+        &WorkerPool::new(jobs),
+        benches,
+        (accesses, DEFAULT_SEED),
+        &machines,
+        &SinkHandle::disabled(),
+        &CancelToken::new(),
+        None,
+    )
+    .unwrap_or_else(|_| unreachable!("a private fresh token is never cancelled"));
+    rows.into_iter()
+        .map(|row| {
+            let mut cells = row.into_iter();
+            variants
+                .iter()
+                .map(|_| cells.by_ref().take(policies.len()).collect())
+                .collect()
+        })
+        .collect()
+}
+
+/// Generates each bench's trace once on `pool` (seeded as given) and runs
+/// it on every machine in `machines`: one row per bench, cells in
+/// `machines` order, submitted bench-major.
+fn sweep(
+    pool: &WorkerPool,
+    benches: &[SpecBench],
+    (accesses, seed): (usize, u64),
+    machines: &[SystemConfig],
+    telemetry: &SinkHandle,
+    cancel: &CancelToken,
+    hook: Option<&SpanHook>,
+) -> Result<Vec<Vec<SimResult>>, Cancelled> {
+    let traces: Vec<Arc<Trace>> = pool.try_map_ordered(
+        benches
+            .iter()
+            .map(|&b| move || Arc::new(b.generate(accesses, seed)))
+            .collect(),
+        cancel,
+    )?;
+    let cells = (0..traces.len()).flat_map(|ti| machines.iter().map(move |m| (ti, m.clone())));
+    let mut results = run_cells(pool, &traces, cells, telemetry, cancel, hook)?.into_iter();
+    Ok(traces
+        .iter()
+        .map(|_| results.by_ref().take(machines.len()).collect())
+        .collect())
+}
+
+/// Simulates `cells` — `(trace index, machine)` pairs — on `pool` and
+/// replays each cell's buffered events into `telemetry` in submission
+/// order — serial sweep order, so the NDJSON stream is bit-identical to a
+/// `-j1` run.
+fn run_cells(
+    pool: &WorkerPool,
+    traces: &[Arc<Trace>],
+    cells: impl Iterator<Item = (usize, SystemConfig)>,
+    telemetry: &SinkHandle,
+    cancel: &CancelToken,
+    hook: Option<&SpanHook>,
+) -> Result<Vec<SimResult>, Cancelled> {
+    let buffer = telemetry.enabled();
+    let jobs: Vec<_> = cells
+        .map(|(ti, cfg)| {
             assert!(ti < traces.len(), "cell trace index {ti} out of range");
             let trace = Arc::clone(&traces[ti]);
-            move || cell.run(&trace, policy)
+            move || run_cell(&trace, cfg, buffer)
         })
         .collect();
-    let results = pool.try_map_ordered(jobs, cancel)?;
+    let results = pool.try_map_ordered_spanned(jobs, cancel, hook)?;
     Ok(results
         .into_iter()
         .map(|(result, events)| {
             for ev in events {
-                opts.telemetry.emit(ev);
+                telemetry.emit(ev);
             }
             result
         })
         .collect())
 }
 
-/// The `Send + Copy` slice of [`RunOptions`] a worker needs to simulate
-/// one matrix cell.
-#[derive(Clone, Copy)]
-struct CellOptions {
-    sample_interval: Option<u64>,
-    adders: AdderMode,
-    telemetry: bool,
-}
-
-impl CellOptions {
-    fn of(opts: &RunOptions) -> Self {
-        CellOptions {
-            sample_interval: opts.sample_interval,
-            adders: opts.adders,
-            telemetry: opts.telemetry.enabled(),
-        }
-    }
-
-    fn config(self, policy: PolicyKind) -> SystemConfig {
-        let mut cfg = SystemConfig::baseline(policy);
-        cfg.sample_interval = self.sample_interval;
-        cfg.adders = self.adders;
-        cfg
-    }
-
-    /// Simulates one cell, buffering its telemetry (if any) for in-order
-    /// replay by the submitting thread.
-    fn run(self, trace: &Trace, policy: PolicyKind) -> (SimResult, Vec<Event>) {
-        if self.telemetry {
-            let buf = Arc::new(Mutex::new(VecSink::new()));
-            let handle = SinkHandle::shared(Arc::clone(&buf) as Arc<Mutex<dyn EventSink + Send>>);
-            let result =
-                System::with_probe(self.config(policy), SinkProbe::new(handle)).run(trace.iter());
-            let events = std::mem::take(&mut buf.lock().expect("buffer sink lock").events);
-            (result, events)
-        } else {
-            (
-                System::new(self.config(policy)).run(trace.iter()),
-                Vec::new(),
-            )
-        }
-    }
-}
-
-/// Runs a pre-generated trace under `policy` on the baseline machine.
-/// Telemetry (when enabled) streams directly into the shared sink — this
-/// is the single-run path; sweeps go through [`run_matrix`]'s buffering.
-pub fn run_trace(trace: &Trace, policy: PolicyKind, opts: &RunOptions) -> SimResult {
-    let cell = CellOptions::of(opts);
-    if opts.telemetry.enabled() {
-        System::with_probe(cell.config(policy), SinkProbe::new(opts.telemetry.clone()))
-            .run(trace.iter())
+/// Simulates one cell, buffering its telemetry (if `buffer`) for in-order
+/// replay by the submitting thread.
+fn run_cell(trace: &Trace, cfg: SystemConfig, buffer: bool) -> (SimResult, Vec<Event>) {
+    if buffer {
+        let buf = Arc::new(Mutex::new(VecSink::new()));
+        let handle = SinkHandle::shared(Arc::clone(&buf) as Arc<Mutex<dyn EventSink + Send>>);
+        let result = System::with_probe(cfg, SinkProbe::new(handle)).run(trace.iter());
+        let events = std::mem::take(&mut buf.lock().expect("buffer sink lock").events);
+        (result, events)
     } else {
-        System::new(cell.config(policy)).run(trace.iter())
+        (System::new(cfg).run(trace.iter()), Vec::new())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlpsim_telemetry::ChromeTraceSink;
 
-    #[test]
-    fn telemetry_flag_parsing() {
-        let none = telemetry_from_args(&["--accesses".into(), "5".into()]).unwrap();
-        assert!(!none.enabled());
-        let dir = std::env::temp_dir().join("mlpsim-telemetry-flag-test.ndjson");
-        let eq_form = telemetry_from_args(&[format!("--telemetry={}", dir.display())]).unwrap();
-        assert!(eq_form.enabled());
-        let two_form =
-            telemetry_from_args(&["--telemetry".into(), dir.display().to_string()]).unwrap();
-        assert!(two_form.enabled());
-        drop((eq_form, two_form));
-        let _ = std::fs::remove_file(dir);
-    }
-
-    #[test]
-    fn telemetry_flag_rejects_flag_like_paths() {
-        let err = telemetry_from_args(&["--telemetry".into(), "--accesses".into()])
-            .expect_err("a flag must not be eaten as a path");
-        assert!(err.contains("--accesses"), "{err}");
-        assert!(telemetry_from_args(&["--telemetry".into()]).is_err());
-        assert!(telemetry_from_args(&["--telemetry=".into()]).is_err());
-        // The `=` form is the documented escape hatch and keeps working
-        // (the open may still fail; an Err must mention the odd name).
-        let dir = std::env::temp_dir().join("--mlpsim-dashed-name.ndjson");
-        let weird = telemetry_from_args(&[format!("--telemetry={}", dir.display())]).unwrap();
-        assert!(weird.enabled());
-        drop(weird);
-        let _ = std::fs::remove_file(dir);
-    }
-
-    #[test]
-    fn trace_out_and_combined_sinks() {
-        let none = sinks_from_args(&[]).unwrap();
-        assert!(!none.enabled());
-        let tdir = std::env::temp_dir();
-        let tpath = tdir.join("mlpsim-trace-out-flag-test.json");
-        let only_trace = sinks_from_args(&[format!("--trace-out={}", tpath.display())]).unwrap();
-        assert!(only_trace.enabled());
-        drop(only_trace);
-        let npath = tdir.join("mlpsim-combined-flag-test.ndjson");
-        let both = sinks_from_args(&[
-            "--telemetry".into(),
-            npath.display().to_string(),
-            "--trace-out".into(),
-            tpath.display().to_string(),
-        ])
-        .unwrap();
-        assert!(both.enabled());
-        drop(both);
-        // The same flag-eating rules as --telemetry apply.
-        assert!(sinks_from_args(&["--trace-out".into(), "--jobs".into()]).is_err());
-        assert!(sinks_from_args(&["--trace-out=".into()]).is_err());
-        let _ = std::fs::remove_file(tpath);
-        let _ = std::fs::remove_file(npath);
+    fn run_one(bench: SpecBench, policy: PolicyKind, opts: &RunOptions) -> SimResult {
+        run_many(bench, &[policy], opts).remove(0)
     }
 
     #[test]
@@ -667,7 +382,7 @@ mod tests {
             telemetry: SinkHandle::of(ChromeTraceSink::create(&path).unwrap()),
             ..RunOptions::default()
         };
-        let r = run_bench_with(SpecBench::Mcf, PolicyKind::Lru, &opts);
+        let r = run_one(SpecBench::Mcf, PolicyKind::Lru, &opts);
         drop(opts); // last handle: the trace document is written on drop
         let text = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
@@ -678,66 +393,6 @@ mod tests {
         };
         assert!(events > 0, "a stall-heavy run produces trace slices");
         assert!(r.mem_stall_cycles > 0);
-    }
-
-    #[test]
-    fn accesses_flag_parsing() {
-        let parse = |args: &[&str]| {
-            accesses_from_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-        };
-        assert_eq!(parse(&[]).unwrap(), DEFAULT_ACCESSES);
-        assert_eq!(parse(&["--accesses", "4000"]).unwrap(), 4000);
-        assert_eq!(parse(&["--accesses=9"]).unwrap(), 9);
-        assert!(parse(&["--accesses", "0"]).is_err());
-        assert!(parse(&["--accesses"]).is_err());
-        assert!(parse(&["--accesses", "many"]).is_err());
-    }
-
-    #[test]
-    fn jobs_flag_parsing() {
-        let parse =
-            |args: &[&str]| jobs_from_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-        assert_eq!(parse(&["--jobs", "3"]).unwrap(), 3);
-        assert_eq!(parse(&["--jobs=8"]).unwrap(), 8);
-        assert_eq!(parse(&["-j", "2"]).unwrap(), 2);
-        assert_eq!(parse(&["-j4"]).unwrap(), 4);
-        assert_eq!(parse(&["-j1", "--jobs", "6"]).unwrap(), 6, "last flag wins");
-        assert!(parse(&["--jobs", "0"]).is_err());
-        assert!(parse(&["--jobs"]).is_err());
-        assert!(parse(&["--jobs", "many"]).is_err());
-        assert!(parse(&["-jx"]).is_err());
-        assert!(parse(&[]).unwrap() >= 1);
-    }
-
-    #[test]
-    fn plan_flag_parsing() {
-        let parse =
-            |args: &[&str]| plan_from_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-        assert_eq!(parse(&[]).unwrap(), None);
-        assert_eq!(parse(&["--plan", "full"]).unwrap(), None);
-        let defaulted = parse(&["--plan", "estimate"]).unwrap().unwrap();
-        assert_eq!(defaulted.margin, mlpsim_model::plan::DEFAULT_PRUNE_MARGIN);
-        let explicit = parse(&["--plan=estimate", "--prune-margin", "0.02"])
-            .unwrap()
-            .unwrap();
-        assert_eq!(explicit.margin, 0.02);
-        assert_eq!(
-            parse(&["--plan", "estimate", "--prune-margin=0"])
-                .unwrap()
-                .unwrap()
-                .margin,
-            0.0
-        );
-        // Garbage values exit through Err (the *_from_env twin exits 2).
-        assert!(parse(&["--plan", "maybe"]).is_err());
-        assert!(parse(&["--plan"]).is_err());
-        assert!(parse(&["--plan", "estimate", "--prune-margin", "lots"]).is_err());
-        assert!(parse(&["--plan", "estimate", "--prune-margin", "-0.1"]).is_err());
-        assert!(parse(&["--plan", "estimate", "--prune-margin", "NaN"]).is_err());
-        assert!(parse(&["--plan", "estimate", "--prune-margin"]).is_err());
-        // A margin without the planner is a contradiction, not a no-op.
-        assert!(parse(&["--prune-margin", "0.01"]).is_err());
-        assert!(parse(&["--plan", "full", "--prune-margin", "0.01"]).is_err());
     }
 
     #[test]
@@ -769,7 +424,7 @@ mod tests {
             telemetry: SinkHandle::of(mlpsim_telemetry::NdjsonSink::create(&path).unwrap()),
             ..RunOptions::default()
         };
-        let r = run_bench_with(SpecBench::Mcf, PolicyKind::sbar_default(), &opts);
+        let r = run_one(SpecBench::Mcf, PolicyKind::sbar_default(), &opts);
         drop(opts); // last handle: final snapshot + flush
         let events = mlpsim_telemetry::read_ndjson(&path).unwrap();
         let _ = std::fs::remove_file(&path);
@@ -793,7 +448,7 @@ mod tests {
             accesses: 3_000,
             ..RunOptions::default()
         };
-        let r = run_bench_with(SpecBench::Mcf, PolicyKind::Lru, &opts);
+        let r = run_one(SpecBench::Mcf, PolicyKind::Lru, &opts);
         assert!(r.instructions > 3_000);
         assert!(r.cycles > 0);
         assert!(r.l2.misses > 0);
@@ -814,7 +469,10 @@ mod tests {
         for (bi, bench) in benches.iter().enumerate() {
             assert_eq!(matrix[bi].len(), 2);
             for (pi, &policy) in policies.iter().enumerate() {
-                let lone = run_bench_with(*bench, policy, &opts);
+                // The reference path: the trace generated directly and
+                // simulated on a plain `System`, no pool.
+                let trace = bench.generate(opts.accesses, opts.seed);
+                let lone = System::new(SystemConfig::baseline(policy)).run(trace.iter());
                 assert_eq!(matrix[bi][pi], lone, "{bench:?}/{policy:?} diverged");
             }
         }

@@ -1,11 +1,12 @@
-//! `telemetry-report` — fold an NDJSON telemetry stream into human tables.
+//! `mlpsim telemetry-report` — fold an NDJSON telemetry stream into human
+//! tables.
 //!
 //! ```text
-//! telemetry-report <events.ndjson>
-//! telemetry-report --traces <traces.json>
+//! mlpsim telemetry-report <events.ndjson>
+//! mlpsim telemetry-report --traces <traces.json>
 //! ```
 //!
-//! Produces, from a stream written by any `--telemetry`-enabled binary:
+//! Produces, from a stream written by any `--telemetry` run:
 //!
 //! * a per-run overview (policy, instructions, misses, peak MLP),
 //! * PSEL activity per dueling unit: update/flip counts, saturation
@@ -32,62 +33,64 @@
 //! (root duration minus the root's direct children) exceeds 1% — time
 //! the span tree fails to explain.
 
+use crate::cli::Args;
 use mlpsim_analysis::ephist::{EpisodeHistogram, EPISODE_BUCKETS};
 use mlpsim_analysis::stats::percentile;
 use mlpsim_analysis::table::Table;
 use mlpsim_core::quant::bucket_label;
 use mlpsim_telemetry::{read_ndjson, Event, Json, StallLedger};
 use std::collections::HashMap;
-use std::process::ExitCode;
+use std::fmt::Write as _;
 
 /// Render the serve-tier traces section from a `GET /debug/traces` dump:
 /// slowest requests first with per-span breakdowns, reconciliation
 /// residue over 1% flagged.
-fn traces_report(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn traces_report(path: &str) -> Result<String, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let Ok(Json::Arr(mut traces)) = Json::parse(&text) else {
-        eprintln!("{path}: expected a JSON array of traces (a GET /debug/traces body)");
-        return ExitCode::FAILURE;
+        return Err(format!(
+            "{path}: expected a JSON array of traces (a GET /debug/traces body)"
+        ));
     };
+    let mut out = String::new();
     if traces.is_empty() {
-        println!("{path}: no traces in dump");
-        return ExitCode::SUCCESS;
+        let _ = writeln!(out, "{path}: no traces in dump");
+        return Ok(out);
     }
     let dur_of = |t: &Json| t.get("dur_us").and_then(|d| d.as_f64()).unwrap_or(0.0);
-    traces.sort_by(|a, b| dur_of(b).partial_cmp(&dur_of(a)).unwrap_or(std::cmp::Ordering::Equal));
+    let str_of = |j: &Json, key: &str| j.get(key).and_then(Json::as_str).unwrap_or("?").to_string();
+    traces.sort_by(|a, b| {
+        dur_of(b)
+            .partial_cmp(&dur_of(a))
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
 
-    let mut overview = Table::with_headers(&["trace", "request", "status", "dur ms", "residue%", ""]);
+    let mut overview =
+        Table::with_headers(&["trace", "request", "status", "dur ms", "residue%", ""]);
     let mut flagged = 0usize;
     for t in &traces {
-        let residue = t
-            .get("residue_pct")
-            .and_then(|r| r.as_f64())
-            .unwrap_or(0.0);
+        let residue = t.get("residue_pct").and_then(|r| r.as_f64()).unwrap_or(0.0);
         let over = residue > 1.0;
         if over {
             flagged += 1;
         }
         overview.row(vec![
-            t.get("trace_id")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string(),
-            t.get("name").and_then(Json::as_str).unwrap_or("?").to_string(),
+            str_of(t, "trace_id"),
+            str_of(t, "name"),
             t.get("status")
                 .and_then(Json::as_u64)
                 .map_or_else(|| "?".into(), |s| s.to_string()),
             format!("{:.3}", dur_of(t) / 1e3),
             format!("{residue:.2}"),
-            if over { "<-- UNEXPLAINED >1%".into() } else { String::new() },
+            if over {
+                "<-- UNEXPLAINED >1%".into()
+            } else {
+                String::new()
+            },
         ]);
     }
-    println!(
+    let _ = writeln!(
+        out,
         "== Traces ({} retained, slowest first; {flagged} with >1% of wall time \
          unexplained by spans) ==\n{}",
         traces.len(),
@@ -103,7 +106,7 @@ fn traces_report(path: &str) -> ExitCode {
         for s in spans {
             let dur = s.get("dur_us").and_then(|d| d.as_f64()).unwrap_or(0.0);
             st.row(vec![
-                s.get("name").and_then(Json::as_str).unwrap_or("?").to_string(),
+                str_of(s, "name"),
                 s.get("start_us")
                     .and_then(Json::as_u64)
                     .map_or_else(|| "?".into(), |v| v.to_string()),
@@ -111,21 +114,24 @@ fn traces_report(path: &str) -> ExitCode {
                 format!("{:.1}", 100.0 * dur / total_us),
             ]);
         }
-        println!(
+        let _ = writeln!(
+            out,
             "-- {} {} ({:.3} ms) --\n{}",
-            t.get("trace_id").and_then(Json::as_str).unwrap_or("?"),
-            t.get("name").and_then(Json::as_str).unwrap_or("?"),
+            str_of(t, "trace_id"),
+            str_of(t, "name"),
             dur_of(t) / 1e3,
             st.render()
         );
     }
-    ExitCode::SUCCESS
+    Ok(out)
 }
 
-/// Per-(run, unit, index) flip tracking for dwell times.
-#[derive(Default)]
-struct FlipTrack {
-    last_flip_seq: Option<u64>,
+/// A histogram row: the label, the count, its share of `total` in
+/// percent, and a bar of one `#` per 2%.
+fn share_row(label: String, count: u64, total: u64) -> Vec<String> {
+    let pct = 100.0 * count as f64 / total.max(1) as f64;
+    let bar = "#".repeat((pct / 2.0).round() as usize);
+    vec![label, count.to_string(), format!("{pct:.1}"), bar]
 }
 
 #[derive(Default)]
@@ -136,31 +142,24 @@ struct UnitStats {
     dwells: Vec<f64>,
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(i) = args.iter().position(|a| a == "--traces") {
-        let Some(path) = args.get(i + 1) else {
-            eprintln!("usage: telemetry-report --traces <traces.json>");
-            return ExitCode::FAILURE;
-        };
-        return traces_report(path);
-    }
-    let Some(path) = args.first() else {
-        eprintln!("usage: telemetry-report <events.ndjson> | --traces <traces.json>");
-        return ExitCode::FAILURE;
-    };
-    let events = match read_ndjson(path) {
-        Ok(evs) => evs,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::FAILURE;
+/// The report for `--traces <dump>` or `<events.ndjson>`.
+pub fn run(args: &Args) -> Result<String, String> {
+    let path = match (args.traces.as_deref(), args.positional(0)) {
+        (Some(dump), None) => return traces_report(dump),
+        (None, Some(path)) => path,
+        _ => {
+            return Err(
+                "usage: mlpsim telemetry-report <events.ndjson> | --traces <traces.json>".into(),
+            )
         }
     };
+    let events = read_ndjson(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let mut out = String::new();
     if events.is_empty() {
-        println!("{path}: no events");
-        return ExitCode::SUCCESS;
+        let _ = writeln!(out, "{path}: no events");
+        return Ok(out);
     }
-    println!("{path}: {} events\n", events.len());
+    let _ = writeln!(out, "{path}: {} events\n", events.len());
 
     // ---- Pass over the stream, segmented by run_start markers. ----
     let mut runs = Table::with_headers(&[
@@ -174,7 +173,8 @@ fn main() -> ExitCode {
     ]);
     let mut run_idx: u64 = 0;
     let mut units: HashMap<String, UnitStats> = HashMap::new();
-    let mut flip_tracks: HashMap<(u64, String, u64), FlipTrack> = HashMap::new();
+    // The last MSB flip's seq per (run, unit, index), for dwell times.
+    let mut last_flip: HashMap<(u64, String, u64), u64> = HashMap::new();
     // Time-weighted MSHR occupancy: (last_cycle, last_live) per run.
     let mut occ_cycles: HashMap<u64, u64> = HashMap::new();
     let mut occ_prev: Option<(u64, u64)> = None;
@@ -248,31 +248,18 @@ fn main() -> ExitCode {
             } => {
                 let u = units.entry(unit.clone()).or_default();
                 u.flips += 1;
-                let track = flip_tracks
-                    .entry((run_idx, unit.clone(), *index))
-                    .or_default();
-                if let Some(prev) = track.last_flip_seq {
+                if let Some(prev) = last_flip.insert((run_idx, unit.clone(), *index), *seq) {
                     u.dwells.push(seq.saturating_sub(prev) as f64);
                 }
-                track.last_flip_seq = Some(*seq);
             }
-            Event::MshrAlloc {
-                cycle,
-                live,
-                demand_live,
-                ..
-            } => {
+            Event::MshrAlloc { cycle, live, .. } | Event::MshrRelease { cycle, live, .. } => {
                 if let Some((pc, pl)) = occ_prev {
                     *occ_cycles.entry(pl).or_default() += cycle.saturating_sub(pc);
                 }
                 occ_prev = Some((*cycle, *live));
-                peak_demand_live = peak_demand_live.max(*demand_live);
-            }
-            Event::MshrRelease { cycle, live, .. } => {
-                if let Some((pc, pl)) = occ_prev {
-                    *occ_cycles.entry(pl).or_default() += cycle.saturating_sub(pc);
+                if let Event::MshrAlloc { demand_live, .. } = ev {
+                    peak_demand_live = peak_demand_live.max(*demand_live);
                 }
-                occ_prev = Some((*cycle, *live));
             }
             Event::CacheMiss { level: 2, set, .. } => {
                 *set_misses.entry(*set).or_default() += 1;
@@ -290,11 +277,14 @@ fn main() -> ExitCode {
         }
     }
 
-    println!("== Runs ==\n{}", runs.render());
+    let _ = writeln!(out, "== Runs ==\n{}", runs.render());
 
     // ---- PSEL flips & dwell times. ----
     if units.is_empty() {
-        println!("== PSEL activity ==\n(no dueling-policy events in stream)\n");
+        let _ = writeln!(
+            out,
+            "== PSEL activity ==\n(no dueling-policy events in stream)\n"
+        );
     } else {
         let mut t = Table::with_headers(&[
             "unit",
@@ -322,7 +312,8 @@ fn main() -> ExitCode {
                 format!("{:.0}", percentile(&u.dwells, 95.0)),
             ]);
         }
-        println!(
+        let _ = writeln!(
+            out,
             "== PSEL activity (dwell = accesses between MSB flips) ==\n{}",
             t.render()
         );
@@ -330,7 +321,7 @@ fn main() -> ExitCode {
 
     // ---- MSHR occupancy histogram. ----
     if occ_cycles.is_empty() {
-        println!("== MSHR occupancy ==\n(no MSHR events in stream)\n");
+        let _ = writeln!(out, "== MSHR occupancy ==\n(no MSHR events in stream)\n");
     } else {
         let total: u64 = occ_cycles.values().sum();
         let max_occ = *occ_cycles
@@ -340,16 +331,9 @@ fn main() -> ExitCode {
         let mut t = Table::with_headers(&["outstanding", "cycles", "%", ""]);
         for occ in 0..=max_occ {
             let c = occ_cycles.get(&occ).copied().unwrap_or(0);
-            let pct = 100.0 * c as f64 / total.max(1) as f64;
-            let bar = "#".repeat((pct / 2.0).round() as usize);
-            t.row(vec![
-                occ.to_string(),
-                c.to_string(),
-                format!("{pct:.1}"),
-                bar,
-            ]);
+            t.row(share_row(occ.to_string(), c, total));
         }
-        println!(
+        let _ = writeln!(out,
             "== MSHR occupancy (time-weighted; peak demand MLP observed: {peak_demand_live}) ==\n{}",
             t.render()
         );
@@ -357,7 +341,10 @@ fn main() -> ExitCode {
 
     // ---- Per-set miss skew. ----
     if set_misses.is_empty() {
-        println!("== L2 per-set miss skew ==\n(no L2 miss events in stream)\n");
+        let _ = writeln!(
+            out,
+            "== L2 per-set miss skew ==\n(no L2 miss events in stream)\n"
+        );
     } else {
         let total: u64 = set_misses.values().sum();
         let sets = set_misses.len() as u64;
@@ -372,7 +359,8 @@ fn main() -> ExitCode {
                 format!("{:.2}", count as f64 / mean),
             ]);
         }
-        println!(
+        let _ =
+            writeln!(out,
             "== L2 per-set miss skew ({total} misses over {sets} sets, mean {mean:.1}/set) ==\n{}",
             t.render()
         );
@@ -381,7 +369,10 @@ fn main() -> ExitCode {
     // ---- cost_q transition matrix. ----
     let trans_total: u64 = transitions.iter().flatten().sum();
     if trans_total == 0 {
-        println!("== cost_q transitions ==\n(no repeat-miss serviced events in stream)");
+        let _ = writeln!(
+            out,
+            "== cost_q transitions ==\n(no repeat-miss serviced events in stream)"
+        );
     } else {
         let mut headers = vec!["from\\to".to_string()];
         headers.extend((0..8).map(|q| q.to_string()));
@@ -397,7 +388,8 @@ fn main() -> ExitCode {
             }
             t.row(cells);
         }
-        println!(
+        let _ = writeln!(
+            out,
             "== cost_q transitions (same line, consecutive misses; {trans_total} pairs, \
              {:.1}% on the diagonal) ==\n{}",
             100.0 * diagonal as f64 / trans_total as f64,
@@ -407,10 +399,14 @@ fn main() -> ExitCode {
 
     // ---- Stall attribution ledger. ----
     if ledger.is_empty() {
-        println!("\n== Stall attribution ledger ==\n(no stall_attrib events in stream)");
+        let _ = writeln!(
+            out,
+            "\n== Stall attribution ledger ==\n(no stall_attrib events in stream)"
+        );
     } else {
         let total = ledger.total();
-        println!(
+        let _ =
+            writeln!(out,
             "\n== Stall attribution ledger ({total} cycles over {} (set, cost_q, policy) keys) ==",
             ledger.len()
         );
@@ -418,18 +414,23 @@ fn main() -> ExitCode {
         // invariants`, re-checked here from the stream alone.
         if saw_run_end {
             if total == run_end_stall {
-                println!(
+                let _ = writeln!(
+                    out,
                     "reconciliation: attributed {total} == run_end mem_stall_cycles \
                      {run_end_stall} (exact)"
                 );
             } else {
-                println!(
+                let _ = writeln!(
+                    out,
                     "reconciliation: attributed {total} != run_end mem_stall_cycles \
                      {run_end_stall} (STREAM INCONSISTENT — truncated file?)"
                 );
             }
         } else {
-            println!("reconciliation: no run_end in stream (truncated file?)");
+            let _ = writeln!(
+                out,
+                "reconciliation: no run_end in stream (truncated file?)"
+            );
         }
 
         let mut t = Table::with_headers(&["set", "stall cycles", "%"]);
@@ -440,23 +441,16 @@ fn main() -> ExitCode {
                 format!("{:.1}", 100.0 * cycles as f64 / total as f64),
             ]);
         }
-        println!("\n-- top sets by attributed stall --\n{}", t.render());
+        let _ = writeln!(out, "\n-- top sets by attributed stall --\n{}", t.render());
 
         // The stall-weighted sibling of Fig. 5: not "how many misses had
         // cost_q = q" but "how many stall cycles did they cost".
         let by_q = ledger.cost_q_totals();
         let mut t = Table::with_headers(&["cost_q", "stall cycles", "%", ""]);
         for (q, &cycles) in by_q.iter().enumerate() {
-            let pct = 100.0 * cycles as f64 / total as f64;
-            let bar = "#".repeat((pct / 2.0).round() as usize);
-            t.row(vec![
-                bucket_label(q as u8),
-                cycles.to_string(),
-                format!("{pct:.1}"),
-                bar,
-            ]);
+            t.row(share_row(bucket_label(q as u8), cycles, total));
         }
-        println!("-- stall share by cost_q bucket --\n{}", t.render());
+        let _ = writeln!(out, "-- stall share by cost_q bucket --\n{}", t.render());
 
         let split = ledger.lin_lru_split_by_set();
         if split.iter().any(|&(_, lin, lru)| lin > 0 && lru > 0) {
@@ -471,7 +465,8 @@ fn main() -> ExitCode {
                     format!("{:+}", lin as i64 - lru as i64),
                 ]);
             }
-            println!(
+            let _ = writeln!(
+                out,
                 "-- LIN vs LRU attributed stall per set (dueling runs/leader sets) --\n{}",
                 t.render()
             );
@@ -480,7 +475,10 @@ fn main() -> ExitCode {
 
     // ---- Stall episode lengths. ----
     if episodes.count() == 0 {
-        println!("\n== Stall episodes ==\n(no stall_span events in stream)");
+        let _ = writeln!(
+            out,
+            "\n== Stall episodes ==\n(no stall_span events in stream)"
+        );
     } else {
         let max_b = episodes
             .max_bucket()
@@ -488,16 +486,14 @@ fn main() -> ExitCode {
         let mut t = Table::with_headers(&["length (cycles)", "episodes", "%", ""]);
         for b in 0..=max_b.min(EPISODE_BUCKETS - 1) {
             let n = episodes.bucket(b);
-            let pct = 100.0 * n as f64 / episodes.count() as f64;
-            let bar = "#".repeat((pct / 2.0).round() as usize);
-            t.row(vec![
+            t.row(share_row(
                 EpisodeHistogram::bucket_label(b),
-                n.to_string(),
-                format!("{pct:.1}"),
-                bar,
-            ]);
+                n,
+                episodes.count(),
+            ));
         }
-        println!(
+        let _ = writeln!(
+            out,
             "\n== Stall episodes ({} spans, {} cycles, mean {:.0}) ==\n{}",
             episodes.count(),
             episodes.total_cycles(),
@@ -506,5 +502,5 @@ fn main() -> ExitCode {
         );
     }
 
-    ExitCode::SUCCESS
+    Ok(out)
 }

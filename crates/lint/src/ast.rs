@@ -84,12 +84,18 @@ pub enum ItemKind {
         init: Option<Expr>,
     },
     /// `type X = …;` — alias target dropped.
-    TypeAlias { name: String },
+    TypeAlias {
+        name: String,
+    },
     /// An item-position macro invocation (`thread_local! { … }`,
     /// `macro_rules! m { … }`); body skipped.
-    MacroCall { name: String },
+    MacroCall {
+        name: String,
+    },
     /// `extern "C" { … }` — foreign fns/statics, bodyless.
-    ExternBlock { items: Vec<Item> },
+    ExternBlock {
+        items: Vec<Item>,
+    },
 }
 
 #[derive(Clone, Debug)]
@@ -127,7 +133,10 @@ pub struct Param {
 #[derive(Clone, Debug)]
 pub enum Ty {
     /// `a::b::C<args…>` — segments plus the last segment's type args.
-    Path { segments: Vec<String>, args: Vec<Ty> },
+    Path {
+        segments: Vec<String>,
+        args: Vec<Ty>,
+    },
     Ref(Box<Ty>),
     Tuple(Vec<Ty>),
     Slice(Box<Ty>),
@@ -163,8 +172,10 @@ impl Ty {
             Ty::Ref(inner) => inner.deref_head(),
             Ty::Path { segments, args } => {
                 let head = segments.last().map(String::as_str)?;
-                if matches!(head, "Arc" | "Box" | "Rc" | "MutexGuard" | "RwLockReadGuard")
-                    && args.len() == 1
+                if matches!(
+                    head,
+                    "Arc" | "Box" | "Rc" | "MutexGuard" | "RwLockReadGuard"
+                ) && args.len() == 1
                 {
                     args[0].deref_head().or(Some(head))
                 } else {
@@ -181,13 +192,22 @@ impl Ty {
 pub enum Pat {
     Wild,
     /// `name`, `mut name`, `ref name`, `name @ sub`.
-    Bind { name: String, sub: Option<Box<Pat>> },
+    Bind {
+        name: String,
+        sub: Option<Box<Pat>>,
+    },
     Tuple(Vec<Pat>),
     Slice(Vec<Pat>),
     /// `Path { field: pat, … }`.
-    Struct { path: Vec<String>, fields: Vec<(String, Pat)> },
+    Struct {
+        path: Vec<String>,
+        fields: Vec<(String, Pat)>,
+    },
     /// `Path(pat, …)`.
-    TupleStruct { path: Vec<String>, elems: Vec<Pat> },
+    TupleStruct {
+        path: Vec<String>,
+        elems: Vec<Pat>,
+    },
     /// A plain path pattern (`None`, `Ordering::SeqCst`).
     Path(Vec<String>),
     Lit,
@@ -304,7 +324,10 @@ pub enum ExprKind {
     /// `true` / `false`.
     Bool(bool),
     /// `-x`, `!x`, `*x`.
-    Unary { op: char, expr: Box<Expr> },
+    Unary {
+        op: char,
+        expr: Box<Expr>,
+    },
     /// `&x`, `&mut x`.
     Ref(Box<Expr>),
     Binary {
@@ -318,15 +341,27 @@ pub enum ExprKind {
         lhs: Box<Expr>,
         rhs: Box<Expr>,
     },
-    Cast { expr: Box<Expr>, ty: Ty },
-    Call { callee: Box<Expr>, args: Vec<Expr> },
+    Cast {
+        expr: Box<Expr>,
+        ty: Ty,
+    },
+    Call {
+        callee: Box<Expr>,
+        args: Vec<Expr>,
+    },
     MethodCall {
         recv: Box<Expr>,
         name: String,
         args: Vec<Expr>,
     },
-    Field { base: Box<Expr>, name: String },
-    Index { base: Box<Expr>, index: Box<Expr> },
+    Field {
+        base: Box<Expr>,
+        name: String,
+    },
+    Index {
+        base: Box<Expr>,
+        index: Box<Expr>,
+    },
     /// `name!(…)` — args parsed as expressions when the token tree is
     /// expression-shaped, otherwise `raw_idents` holds the identifiers.
     MacroCall {
@@ -355,14 +390,22 @@ pub enum ExprKind {
         then: Block,
         els: Option<Box<Expr>>,
     },
-    Match { scrut: Box<Expr>, arms: Vec<Arm> },
-    While { cond: Box<Expr>, body: Block },
+    Match {
+        scrut: Box<Expr>,
+        arms: Vec<Arm>,
+    },
+    While {
+        cond: Box<Expr>,
+        body: Block,
+    },
     WhileLet {
         pat: Pat,
         expr: Box<Expr>,
         body: Block,
     },
-    Loop { body: Block },
+    Loop {
+        body: Block,
+    },
     For {
         pat: Pat,
         iter: Box<Expr>,
@@ -371,7 +414,10 @@ pub enum ExprKind {
     BlockExpr(Block),
     /// `unsafe { … }`.
     UnsafeBlock(Block),
-    Closure { params: Vec<Pat>, body: Box<Expr> },
+    Closure {
+        params: Vec<Pat>,
+        body: Box<Expr>,
+    },
     Return(Option<Box<Expr>>),
     Break(Option<Box<Expr>>),
     Continue,
@@ -399,7 +445,9 @@ impl Expr {
     pub fn is_literal(&self) -> bool {
         match &self.kind {
             ExprKind::Num(_) | ExprKind::Str | ExprKind::Bool(_) => true,
-            ExprKind::Paren(e) | ExprKind::Ref(e) | ExprKind::Cast { expr: e, .. } => e.is_literal(),
+            ExprKind::Paren(e) | ExprKind::Ref(e) | ExprKind::Cast { expr: e, .. } => {
+                e.is_literal()
+            }
             ExprKind::Unary { op: '-', expr } => expr.is_literal(),
             // `u64::from(8)`-style literal lifts.
             ExprKind::Call { callee, args } => {

@@ -549,7 +549,10 @@ mod tests {
             .collect();
         assert_eq!(
             ops,
-            vec!["::", "->", "=>", "==", "!=", "<=", ">=", "&&", "||", "<<", ">>", "<<=", "..=", ".."]
+            vec![
+                "::", "->", "=>", "==", "!=", "<=", ">=", "&&", "||", "<<", ">>", "<<=", "..=",
+                ".."
+            ]
         );
     }
 

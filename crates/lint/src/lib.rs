@@ -84,12 +84,15 @@ pub fn lint_files(files: &[InputFile]) -> LintReport {
     }
     dataflow::check_workspace(files, &mut report);
     report.findings.sort_by(|a, b| {
-        (&a.rel_path, a.diag.line, a.diag.rule.name())
-            .cmp(&(&b.rel_path, b.diag.line, b.diag.rule.name()))
+        (&a.rel_path, a.diag.line, a.diag.rule.name()).cmp(&(
+            &b.rel_path,
+            b.diag.line,
+            b.diag.rule.name(),
+        ))
     });
-    report
-        .findings
-        .dedup_by(|a, b| a.rel_path == b.rel_path && a.diag.line == b.diag.line && a.diag.rule == b.diag.rule);
+    report.findings.dedup_by(|a, b| {
+        a.rel_path == b.rel_path && a.diag.line == b.diag.line && a.diag.rule == b.diag.rule
+    });
     report
 }
 

@@ -498,7 +498,8 @@ impl<'a> Parser<'a> {
     /// `unsafe fn`, `extern "C" fn`, `unsafe impl`, `extern "C" { … }`,
     /// plain `const`/`static` items).
     fn parse_fn_like(&mut self) -> PResult<ItemKind> {
-        if self.check_kw("unsafe") && matches!(self.kind_at(1), Some(TokenKind::Ident(s)) if s == "impl" || s == "trait")
+        if self.check_kw("unsafe")
+            && matches!(self.kind_at(1), Some(TokenKind::Ident(s)) if s == "impl" || s == "trait")
         {
             self.bump(); // the impl/trait path re-enters the dispatcher
             return self.parse_item_kind();
@@ -1346,8 +1347,9 @@ impl<'a> Parser<'a> {
     fn expr_can_start(&self, r: Restr) -> bool {
         match self.kind() {
             None => false,
-            Some(TokenKind::Punct(c)) => matches!(c, '(' | '[' | '!' | '-' | '*' | '&' | '|')
-                || (*c == '{' && !r.no_struct),
+            Some(TokenKind::Punct(c)) => {
+                matches!(c, '(' | '[' | '!' | '-' | '*' | '&' | '|') || (*c == '{' && !r.no_struct)
+            }
             Some(TokenKind::Op(o)) => matches!(*o, "::" | "&&" | "||"),
             Some(TokenKind::Ident(s)) => s != "else",
             Some(TokenKind::Num(_) | TokenKind::Str) => true,
@@ -2234,14 +2236,8 @@ mod tests {
             panic!("not binary: {expr:?}");
         };
         assert_eq!(*op, BinOp::Lt);
-        assert!(matches!(
-            lhs.kind,
-            ExprKind::Binary { op: BinOp::Shl, .. }
-        ));
-        assert!(matches!(
-            rhs.kind,
-            ExprKind::Binary { op: BinOp::Add, .. }
-        ));
+        assert!(matches!(lhs.kind, ExprKind::Binary { op: BinOp::Shl, .. }));
+        assert!(matches!(rhs.kind, ExprKind::Binary { op: BinOp::Add, .. }));
     }
 
     #[test]

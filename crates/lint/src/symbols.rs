@@ -139,13 +139,15 @@ impl Workspace {
                     });
                 }
                 ItemKind::Struct { name, fields } => {
-                    self.structs.entry(name.clone()).or_insert_with(|| StructInfo {
-                        crate_key: crate_key.to_string(),
-                        fields: fields
-                            .iter()
-                            .map(|f| (f.name.clone(), f.ty.clone()))
-                            .collect(),
-                    });
+                    self.structs
+                        .entry(name.clone())
+                        .or_insert_with(|| StructInfo {
+                            crate_key: crate_key.to_string(),
+                            fields: fields
+                                .iter()
+                                .map(|f| (f.name.clone(), f.ty.clone()))
+                                .collect(),
+                        });
                 }
                 ItemKind::Enum { name, .. } => {
                     self.enums.insert(name.clone());
@@ -205,18 +207,12 @@ mod tests {
         assert!(helper.in_test);
         let t = &ws.fns[ws.fns_named("t")[0]];
         assert!(t.in_test);
-        assert_eq!(
-            ws.field_ty("S", "cycles").and_then(Ty::head),
-            Some("u64")
-        );
+        assert_eq!(ws.field_ty("S", "cycles").and_then(Ty::head), Some("u64"));
     }
 
     #[test]
     fn parse_errors_are_reported_not_fatal() {
-        let files = [
-            input("core", "fn ok() {}"),
-            input("mem", "fn broken( {"),
-        ];
+        let files = [input("core", "fn ok() {}"), input("mem", "fn broken( {")];
         let (ws, errs) = Workspace::build(&files);
         assert_eq!(ws.fns.len(), 1);
         assert_eq!(errs.len(), 1);

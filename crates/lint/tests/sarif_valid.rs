@@ -34,7 +34,10 @@ fn workspace_sarif_is_valid_and_complete() {
         .get("tool")
         .and_then(|t| t.get("driver"))
         .expect("tool.driver present");
-    assert_eq!(driver.get("name").and_then(Json::as_str), Some("mlpsim-lint"));
+    assert_eq!(
+        driver.get("name").and_then(Json::as_str),
+        Some("mlpsim-lint")
+    );
     let Some(Json::Arr(rules)) = driver.get("rules") else {
         panic!("driver.rules must be an array");
     };

@@ -58,7 +58,10 @@ fn parser_also_covers_test_and_bench_sources() {
         for sub in ["tests", "benches"] {
             let d = crate_dir.join(sub);
             if d.is_dir() {
-                for e in std::fs::read_dir(&d).expect("readable").filter_map(Result::ok) {
+                for e in std::fs::read_dir(&d)
+                    .expect("readable")
+                    .filter_map(Result::ok)
+                {
                     let p = e.path();
                     if p.extension().is_some_and(|x| x == "rs") {
                         files.push(p);

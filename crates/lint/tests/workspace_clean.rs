@@ -17,20 +17,15 @@ fn workspace_has_no_lint_findings() {
         .iter()
         .map(|(p, e)| format!("{p}: parse error: {e}"))
         .collect();
-    lines.extend(
-        report
-            .findings
-            .iter()
-            .map(|f| {
-                format!(
-                    "{}:{}: {}: {}",
-                    f.rel_path,
-                    f.diag.line,
-                    f.diag.rule.name(),
-                    f.diag.msg
-                )
-            }),
-    );
+    lines.extend(report.findings.iter().map(|f| {
+        format!(
+            "{}:{}: {}: {}",
+            f.rel_path,
+            f.diag.line,
+            f.diag.rule.name(),
+            f.diag.msg
+        )
+    }));
     assert!(
         lines.is_empty(),
         "workspace must be lint-clean ({} files checked):\n{}",

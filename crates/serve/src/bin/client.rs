@@ -173,7 +173,7 @@ fn main() -> ExitCode {
     match run(&server, command, rest) {
         Ok(output) => {
             // Reports carry their own trailing newline; `result` output
-            // must stay byte-identical to the CLI binary's.
+            // must stay byte-identical to the `mlpsim` CLI's.
             if output.ends_with('\n') {
                 print!("{output}");
             } else {

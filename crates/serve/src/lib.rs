@@ -3,7 +3,7 @@
 //! `mlpsim-serve`: the simulator as a long-running service, with zero
 //! dependencies beyond the workspace.
 //!
-//! The CLI binaries answer one question per invocation; this crate turns
+//! The `mlpsim` CLI answers one question per invocation; this crate turns
 //! the same run paths into a job API so sweeps can be submitted, watched
 //! live, cancelled, and — crucially — survive the server being killed:
 //!
@@ -29,9 +29,9 @@
 //!   and the end-to-end tests.
 //!
 //! Determinism contract: a job executes through the exact library
-//! functions the CLI binaries call ([`mlpsim_experiments::figures`]), so
+//! functions the `mlpsim` CLI calls ([`mlpsim_experiments::figures`]), so
 //! `mlpsim-client submit` + `result` is byte-identical to running the
-//! corresponding binary directly, at any `jobs` width.
+//! corresponding `mlpsim` subcommand directly, at any `jobs` width.
 
 pub mod client;
 pub mod http;

@@ -602,8 +602,8 @@ impl State {
     }
 
     /// Every retained trace as a JSON array, newest first — the
-    /// `GET /debug/traces` body (full span trees; `telemetry-report
-    /// --traces` consumes this dump directly).
+    /// `GET /debug/traces` body (full span trees; `mlpsim
+    /// telemetry-report --traces` consumes this dump directly).
     pub fn traces_json(&self) -> Json {
         Json::Arr(
             self.recorder

@@ -262,7 +262,9 @@ impl TraceCtx {
     /// Record the final status (HTTP status code, or the job-outcome
     /// mapping the serve tier uses).
     pub fn set_status(&self, status: u16) {
-        self.inner.status.store(u64::from(status), Ordering::Relaxed);
+        self.inner
+            .status
+            .store(u64::from(status), Ordering::Relaxed);
         if status >= 400 {
             self.pin();
         }
@@ -545,7 +547,10 @@ impl CompletedTrace {
             ("status".to_string(), Json::Num(f64::from(self.status))),
             ("pinned".to_string(), Json::Bool(self.pinned)),
             ("start_ns".to_string(), Json::Num(self.start_ns as f64)),
-            ("dur_us".to_string(), Json::Num(ns_to_us(self.dur_ns) as f64)),
+            (
+                "dur_us".to_string(),
+                Json::Num(ns_to_us(self.dur_ns) as f64),
+            ),
             (
                 "residue_pct".to_string(),
                 Json::Num(recon.residue_frac * 100.0),
@@ -721,15 +726,17 @@ impl FlightRecorder {
         let mut out = Vec::with_capacity(self.recent_cap + self.pinned_cap);
         self.recent.snapshot_into(&mut out);
         self.pinned.snapshot_into(&mut out);
-        out.sort_by(|a, b| b.start_ns.cmp(&a.start_ns).then(a.trace_id.cmp(&b.trace_id)));
+        out.sort_by(|a, b| {
+            b.start_ns
+                .cmp(&a.start_ns)
+                .then(a.trace_id.cmp(&b.trace_id))
+        });
         out
     }
 
     /// Look one trace up by id.
     pub fn find(&self, trace_id: u128) -> Option<Arc<CompletedTrace>> {
-        self.snapshot()
-            .into_iter()
-            .find(|t| t.trace_id == trace_id)
+        self.snapshot().into_iter().find(|t| t.trace_id == trace_id)
     }
 }
 
@@ -752,7 +759,10 @@ mod tests {
     #[test]
     fn traceparent_formats_and_parses() {
         let tp = format_traceparent(0xabc_d123, 0x42, FLAG_SAMPLED);
-        assert_eq!(tp, "00-0000000000000000000000000abcd123-0000000000000042-01");
+        assert_eq!(
+            tp,
+            "00-0000000000000000000000000abcd123-0000000000000042-01"
+        );
         assert_eq!(parse_traceparent(&tp), Some((0xabc_d123, 0x42, 1)));
     }
 

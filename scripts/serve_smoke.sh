@@ -3,7 +3,7 @@
 # the in-crate tests cannot: separate server/client binaries, a real
 # `kill -9` mid-queue, and a restart that must lose nothing.
 #
-#   1. HTTP-submitted fig5 result is byte-identical to the CLI binary,
+#   1. HTTP-submitted fig5 result is byte-identical to `mlpsim fig5`,
 #      and the live /metrics scrape carries the job-latency histograms.
 #   2. Live event stream carries parseable run brackets.
 #   3. Cancel works against a running job.
@@ -53,7 +53,7 @@ client() { "$BIN/mlpsim-client" --server "$@"; }
 
 # --- 1+2: byte-identical result, live event stream -----------------------
 echo "== submit over HTTP, compare against the CLI run path"
-"$BIN/fig5" --accesses 1500 -j 2 >"$WORK/cli.txt"
+"$BIN/mlpsim" fig5 --accesses 1500 -j 2 >"$WORK/cli.txt"
 
 URL=$(start_server "$WORK/serve.log" --data-dir "$WORK/data")
 ID=$(client "$URL" submit '{"kind":"fig5","accesses":1500,"jobs":2}')
@@ -101,9 +101,9 @@ grep -q '"ph"' "$WORK/trace_chrome.json"
 # The structured access log on stderr carries the propagated trace id.
 grep '"kind":"access"' "$WORK/serve.log" | grep -q "$TRACE"
 
-# telemetry-report digests the full recorder dump.
+# mlpsim telemetry-report digests the full recorder dump.
 client "$URL" traces >"$WORK/traces.json"
-"$BIN/telemetry-report" --traces "$WORK/traces.json" >"$WORK/traces_report.txt"
+"$BIN/mlpsim" telemetry-report --traces "$WORK/traces.json" >"$WORK/traces_report.txt"
 grep -q "Traces" "$WORK/traces_report.txt"
 
 # Per-phase request histograms appear on the scrape.
