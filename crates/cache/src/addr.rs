@@ -35,6 +35,10 @@ impl LineAddr {
     ///
     /// Panics if `line_bytes` is zero.
     #[inline]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "line_bytes is asserted non-zero above"
+    )]
     pub fn from_byte_addr(addr: u64, line_bytes: u32) -> Self {
         assert!(line_bytes > 0, "line size must be non-zero");
         LineAddr(addr / u64::from(line_bytes))
@@ -119,10 +123,15 @@ impl Geometry {
         if capacity_bytes == 0 || ways == 0 || line_bytes == 0 {
             return Err(GeometryError::ZeroParameter);
         }
+        #[expect(clippy::arithmetic_side_effects, reason = "u16 × u32 fits in u64")]
         let set_bytes = u64::from(ways) * u64::from(line_bytes);
         if !capacity_bytes.is_multiple_of(set_bytes) {
             return Err(GeometryError::NotDivisible);
         }
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "set_bytes is non-zero: both factors are checked above"
+        )]
         let sets = capacity_bytes / set_bytes;
         Ok(Geometry {
             sets: u32::try_from(sets).expect("set count fits in u32"),
@@ -180,11 +189,12 @@ impl Geometry {
     /// Total capacity in bytes.
     #[inline]
     pub fn capacity_bytes(&self) -> u64 {
-        u64::from(self.sets) * u64::from(self.ways) * u64::from(self.line_bytes)
+        self.lines().saturating_mul(u64::from(self.line_bytes))
     }
 
     /// Total number of lines the cache can hold.
     #[inline]
+    #[expect(clippy::arithmetic_side_effects, reason = "u32 × u16 fits in u64")]
     pub fn lines(&self) -> u64 {
         u64::from(self.sets) * u64::from(self.ways)
     }
@@ -193,6 +203,10 @@ impl Geometry {
     /// baseline). A power-of-two set count, which every paper geometry
     /// has, takes a mask instead of a 64-bit division.
     #[inline]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "both constructors reject a zero set count"
+    )]
     pub fn set_index(&self, line: LineAddr) -> u32 {
         if self.sets.is_power_of_two() {
             (line.0 & u64::from(self.sets - 1)) as u32
@@ -204,6 +218,10 @@ impl Geometry {
     /// Tag for a line address: the line address with the set-index bits
     /// removed (a shift for a power-of-two set count).
     #[inline]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "both constructors reject a zero set count"
+    )]
     pub fn tag(&self, line: LineAddr) -> u64 {
         if self.sets.is_power_of_two() {
             line.0 >> self.sets.trailing_zeros()

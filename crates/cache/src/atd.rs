@@ -86,12 +86,12 @@ impl Atd {
                 let cost = self.tags.cost_q_at(line, way);
                 self.engine.on_access(line, seq, true, Some(cost));
                 self.tags.touch(line, way);
-                self.hits += 1;
+                self.hits = self.hits.saturating_add(1);
                 AtdOutcome { hit: true }
             }
             None => {
                 self.engine.on_access(line, seq, false, None);
-                self.misses += 1;
+                self.misses = self.misses.saturating_add(1);
                 let set_index = self.tags.geometry().set_index(line);
                 let way = match self.tags.view(set_index).first_invalid() {
                     Some(way) => way,

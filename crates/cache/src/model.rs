@@ -42,7 +42,7 @@ pub struct CacheStats {
 impl CacheStats {
     /// Total accesses observed.
     pub fn accesses(&self) -> u64 {
-        self.hits + self.misses
+        self.hits.saturating_add(self.misses)
     }
 
     /// Miss ratio in [0, 1]; 0 when no accesses were made.
@@ -157,7 +157,7 @@ impl CacheModel {
                 if write {
                     self.tags.mark_dirty_at(line, way);
                 }
-                self.stats.hits += 1;
+                self.stats.hits = self.stats.hits.saturating_add(1);
                 self.sink.emit_with(|| Event::CacheHit {
                     level: self.level,
                     set: u64::from(self.tags.geometry().set_index(line)),
@@ -172,9 +172,9 @@ impl CacheModel {
             }
             None => {
                 self.engine.on_access(line, seq, false, None);
-                self.stats.misses += 1;
+                self.stats.misses = self.stats.misses.saturating_add(1);
                 if self.seen.insert(line) {
-                    self.first_touch_misses += 1;
+                    self.first_touch_misses = self.first_touch_misses.saturating_add(1);
                 }
                 let set_index = self.tags.geometry().set_index(line);
                 self.sink.emit_with(|| Event::CacheMiss {
@@ -185,11 +185,11 @@ impl CacheModel {
                 });
                 let way = match self.tags.view(set_index).first_invalid() {
                     Some(way) => {
-                        self.stats.cold_fills += 1;
+                        self.stats.cold_fills = self.stats.cold_fills.saturating_add(1);
                         way
                     }
                     None => {
-                        self.stats.evictions += 1;
+                        self.stats.evictions = self.stats.evictions.saturating_add(1);
                         let ctx = VictimCtx {
                             set: self.tags.view(set_index),
                             incoming: line,
@@ -210,7 +210,7 @@ impl CacheModel {
                 let evicted = self.tags.fill(line, way, write, 0);
                 if let Some(ev) = evicted {
                     if ev.dirty {
-                        self.stats.writebacks += 1;
+                        self.stats.writebacks = self.stats.writebacks.saturating_add(1);
                     }
                     self.sink.emit_with(|| Event::CacheVictim {
                         level: self.level,
@@ -253,11 +253,11 @@ impl CacheModel {
                 self.engine.victim(&ctx)
             }
         };
-        self.stats.prefetch_fills += 1;
+        self.stats.prefetch_fills = self.stats.prefetch_fills.saturating_add(1);
         let evicted = self.tags.fill(line, way, false, 0);
         if let Some(ev) = evicted {
             if ev.dirty {
-                self.stats.writebacks += 1;
+                self.stats.writebacks = self.stats.writebacks.saturating_add(1);
             }
         }
         evicted

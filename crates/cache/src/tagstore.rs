@@ -60,6 +60,10 @@ pub const MAX_WAYS: u16 = 256;
 /// anything, so they stay put without a branch. Returns the highest rank
 /// the column held, which is the top slot when `way` is valid.
 #[inline]
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "only a rank above `old` drops by one, so none goes below 0"
+)]
 fn close_gap(ranks: &mut [u8], way: usize) -> u8 {
     let old = ranks[way];
     let mut top = 0;
@@ -102,6 +106,10 @@ impl TagStore {
 
     /// Column range covering set `set_index`.
     #[inline]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "set_index < sets, so the range lies inside the sets × ways columns"
+    )]
     fn range(&self, set_index: u32) -> std::ops::Range<usize> {
         let w = usize::from(self.geometry.ways());
         let b = set_index as usize * w;
@@ -110,6 +118,10 @@ impl TagStore {
 
     /// Column index of `way` in the set `line` maps to.
     #[inline]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "way < ways, so the index stays inside the set's range"
+    )]
     fn index(&self, line: LineAddr, way: usize) -> usize {
         self.range(self.geometry.set_index(line)).start + way
     }
@@ -149,6 +161,10 @@ impl TagStore {
     pub fn touch(&mut self, line: LineAddr, way: usize) {
         let set = self.geometry.set_index(line);
         let r = self.range(set);
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "way < ways, so the index stays inside the set's range"
+        )]
         let i = r.start + way;
         debug_assert!(self.valid[i], "touching an invalid way");
         if usize::from(self.rank[i]) + 1 == r.len() {
@@ -173,6 +189,10 @@ impl TagStore {
         let set = self.geometry.set_index(line);
         let tag = self.geometry.tag(line);
         let r = self.range(set);
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "way < ways, so the index stays inside the set's range"
+        )]
         let i = r.start + way;
         let evicted = self.valid[i].then(|| Evicted {
             line: self.geometry.line_from_parts(self.tag[i], set),
@@ -248,6 +268,10 @@ impl TagStore {
             .enumerate()
             .filter(|(_, &v)| v)
             .map(move |(i, _)| {
+                #[expect(
+                    clippy::arithmetic_side_effects,
+                    reason = "every geometry has at least one way"
+                )]
                 let set = (i / ways) as u32;
                 g.line_from_parts(self.tag[i], set)
             })

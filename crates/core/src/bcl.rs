@@ -114,7 +114,7 @@ impl ReplacementEngine for BclEngine {
                     self.credits.remove(&lru_line);
                     lru_way
                 } else {
-                    *credit -= 1;
+                    *credit = credit.saturating_sub(1); // non-zero: checked above
                     if let Some(line) = ctx.set.line_of(cheap_way) {
                         self.credits.remove(&line);
                     }

@@ -140,14 +140,19 @@ impl CbsEngine {
             seq,
         });
         let p = self.psels[idx];
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "negating a widened u8 cannot overflow"
+        )]
+        let delta = if inc {
+            i64::from(cost)
+        } else {
+            -i64::from(cost)
+        };
         self.sink.emit(Event::PselUpdate {
             unit: unit.to_string(),
             index: crate::convert::idx_u64(idx),
-            delta: if inc {
-                i64::from(cost)
-            } else {
-                -i64::from(cost)
-            },
+            delta,
             value: u64::from(p.value()),
             msb: p.msb_set(),
             saturated: p.is_saturated(),
@@ -227,7 +232,8 @@ impl ReplacementEngine for CbsEngine {
                     // Not serviced by memory; cost from the MTD tag entry.
                     self.duel_update(idx, false, provisional, line, seq);
                 } else {
-                    self.pending.entry(line).or_default().decrements += 1;
+                    let pending = self.pending.entry(line).or_default();
+                    pending.decrements = pending.decrements.saturating_add(1);
                 }
             }
             (true, false) => {
@@ -236,7 +242,8 @@ impl ReplacementEngine for CbsEngine {
                 if mtd_hit {
                     self.duel_update(idx, true, provisional, line, seq);
                 } else {
-                    self.pending.entry(line).or_default().increments += 1;
+                    let pending = self.pending.entry(line).or_default();
+                    pending.increments = pending.increments.saturating_add(1);
                 }
             }
         }

@@ -145,9 +145,12 @@ impl Ccl {
                 if stride <= 1 {
                     crate::convert::cycles_f64(delta) / crate::convert::count_f64(n)
                 } else {
-                    let visits = delta / stride;
-                    // lint: bounded("visits = delta / stride, so visits * stride <= delta")
-                    crate::convert::cycles_f64(visits * stride) / crate::convert::count_f64(n)
+                    #[expect(
+                        clippy::arithmetic_side_effects,
+                        reason = "stride >= 2 here, and (delta / stride) * stride <= delta"
+                    )]
+                    let visited = delta / stride * stride;
+                    crate::convert::cycles_f64(visited) / crate::convert::count_f64(n)
                 }
             }
         };

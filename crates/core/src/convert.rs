@@ -1,13 +1,14 @@
 //! Documented numeric conversions for the cost model.
 //!
-//! Lint rule D3 bans bare `as` casts in this crate: Algorithm 1's cost
-//! accumulation, the 3-bit `cost_q` quantization, and the PSEL/leader-set
-//! index arithmetic all have hard numeric invariants, and a silent
-//! truncation in any of them corrupts results without failing a test.
-//! Every conversion the model needs is therefore spelled as one of these
-//! helpers, each stating why it cannot lose information on reachable
-//! inputs — and asserting so under the `invariants` feature. The residual
-//! `as` casts live here, one per helper, under audited allow-pragmas.
+//! Rule D3 (`clippy::as_conversions`) bans bare `as` casts in this crate:
+//! Algorithm 1's cost accumulation, the 3-bit `cost_q` quantization, and
+//! the PSEL/leader-set index arithmetic all have hard numeric invariants,
+//! and a silent truncation in any of them corrupts results without
+//! failing a test. Every conversion the model needs is therefore spelled
+//! as one of these helpers, each stating why it cannot lose information
+//! on reachable inputs — and asserting so under the `invariants` feature. The residual
+//! `as` casts live here, one per helper, each under an `#[expect]` that
+//! carries its justification.
 
 /// A `u64` cycle count (or byte count) as `f64`.
 ///
@@ -16,12 +17,15 @@
 /// cycles) or model a 9-petabyte cache before this rounds, and rounding —
 /// not truncation — is the worst case.
 #[inline]
+#[expect(
+    clippy::as_conversions,
+    reason = "exact below 2^53, asserted under the invariants feature"
+)]
 pub fn cycles_f64(x: u64) -> f64 {
     invariant!(
         x < (1u64 << 53),
         "cycle/byte count {x} exceeds f64 mantissa"
     );
-    // lint: allow(D3, "exact below 2^53, asserted under the invariants feature")
     x as f64
 }
 
@@ -29,9 +33,12 @@ pub fn cycles_f64(x: u64) -> f64 {
 /// table sizes, …). Counts are bounded by MSHR capacity, set counts, or
 /// trace length — all far below 2^53, where the conversion is exact.
 #[inline]
+#[expect(
+    clippy::as_conversions,
+    reason = "exact below 2^53, asserted under the invariants feature"
+)]
 pub fn count_f64(x: usize) -> f64 {
     invariant!(x < (1usize << 53), "count {x} exceeds f64 mantissa");
-    // lint: allow(D3, "exact below 2^53, asserted under the invariants feature")
     x as f64
 }
 
@@ -40,13 +47,16 @@ pub fn count_f64(x: usize) -> f64 {
 /// +inf to `u64::MAX` (Rust's `as` semantics), which the invariants
 /// feature rejects as model-unsound before the saturation can matter.
 #[inline]
-#[allow(clippy::cast_possible_truncation)] // the audited cast this module exists for
+#[expect(
+    clippy::as_conversions,
+    clippy::cast_possible_truncation,
+    reason = "saturating by language semantics; the domain is asserted under the invariants feature"
+)]
 pub fn trunc_u64(x: f64) -> u64 {
     invariant!(
         x.is_finite() && x >= 0.0,
         "truncating unrepresentable f64 {x} (cost must be finite and non-negative)"
     );
-    // lint: allow(D3, "saturating by language semantics; domain asserted above")
     x as u64
 }
 
@@ -54,13 +64,16 @@ pub fn trunc_u64(x: f64) -> u64 {
 /// (bit-width computations in the overhead model: `log2(sets).ceil()` and
 /// friends — a cache would need 2^32 sets to overflow).
 #[inline]
-#[allow(clippy::cast_possible_truncation)] // the audited cast this module exists for
+#[expect(
+    clippy::as_conversions,
+    clippy::cast_possible_truncation,
+    reason = "saturating by language semantics; the domain is asserted under the invariants feature"
+)]
 pub fn trunc_u32(x: f64) -> u32 {
     invariant!(
         x.is_finite() && (0.0..=f64::from(u32::MAX)).contains(&x),
         "f64 {x} out of u32 range"
     );
-    // lint: allow(D3, "saturating by language semantics; domain asserted above")
     x as u32
 }
 
@@ -68,16 +81,22 @@ pub fn trunc_u32(x: f64) -> u32 {
 /// target has at least 32-bit pointers (the workspace's tag stores alone
 /// rule out 16-bit hosts).
 #[inline]
+#[expect(
+    clippy::as_conversions,
+    reason = "u32 -> usize is widening on every supported target"
+)]
 pub fn idx(x: u32) -> usize {
-    // lint: allow(D3, "u32 -> usize is widening on every supported target")
     x as usize
 }
 
 /// A `usize` index/count as `u64`. Exact on every supported target
 /// (pointers are at most 64 bits).
 #[inline]
+#[expect(
+    clippy::as_conversions,
+    reason = "usize -> u64 is widening on every supported target"
+)]
 pub fn idx_u64(x: usize) -> u64 {
-    // lint: allow(D3, "usize -> u64 is widening on every supported target")
     x as u64
 }
 

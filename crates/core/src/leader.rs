@@ -58,8 +58,16 @@ impl LeaderSets {
             sets.is_multiple_of(k),
             "constituencies must be equally sized"
         );
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "k is asserted non-zero above"
+        )]
         let constituency_size = sets / k;
         let mut rng = SmallRng::seed_from_u64(seed);
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "constituency_size >= 1 because k <= sets"
+        )]
         let offsets = match policy {
             SelectionPolicy::SimpleStatic => (0..k).map(|c| c % constituency_size).collect(),
             SelectionPolicy::RandDynamic => (0..k)
@@ -92,6 +100,10 @@ impl LeaderSets {
 
     /// Whether `set_index` is a leader set.
     #[inline]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "constituency_size >= 1 because new() asserts k <= sets"
+    )]
     pub fn is_leader(&self, set_index: u32) -> bool {
         debug_assert!(set_index < self.sets);
         let c = crate::convert::idx(set_index / self.constituency_size);
@@ -99,6 +111,10 @@ impl LeaderSets {
     }
 
     /// Iterator over the leader set indices, in ascending order.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "c < k and off < constituency_size, so each index is below sets"
+    )]
     pub fn leaders(&self) -> impl Iterator<Item = u32> + '_ {
         self.offsets
             .iter()

@@ -1,6 +1,14 @@
 #![warn(missing_docs)]
-#![warn(clippy::cast_possible_truncation)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::cast_possible_truncation))]
+#![warn(clippy::as_conversions, clippy::cast_possible_truncation)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::as_conversions,
+        clippy::cast_possible_truncation
+    )
+)]
+#![cfg_attr(not(test), warn(clippy::arithmetic_side_effects))]
 
 //! MLP-aware cache replacement — the paper's contribution.
 //!

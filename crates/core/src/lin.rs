@@ -47,7 +47,7 @@ impl LinEngine {
     /// first.
     #[inline]
     pub fn score(&self, recency_rank: u8, cost_q: u8) -> u32 {
-        u32::from(recency_rank) + self.lambda * u32::from(cost_q)
+        u32::from(recency_rank).saturating_add(self.lambda.saturating_mul(u32::from(cost_q)))
     }
 }
 

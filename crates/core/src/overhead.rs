@@ -56,7 +56,7 @@ impl OverheadParams {
     /// Bits per ATD entry: tag + valid + LRU stack position.
     pub fn atd_entry_bits(&self) -> u32 {
         let lru_bits = crate::convert::trunc_u32(f64::from(self.geometry.ways()).log2().ceil());
-        self.tag_bits() + 1 + lru_bits
+        self.tag_bits().saturating_add(1).saturating_add(lru_bits)
     }
 }
 
@@ -76,7 +76,10 @@ pub struct Overhead {
 impl Overhead {
     /// Total overhead in bits.
     pub fn total_bits(&self) -> u64 {
-        self.atd_bits + self.psel_bits + self.cost_q_bits + self.mshr_bits
+        self.atd_bits
+            .saturating_add(self.psel_bits)
+            .saturating_add(self.cost_q_bits)
+            .saturating_add(self.mshr_bits)
     }
 
     /// Total overhead in bytes (rounded up).
@@ -96,9 +99,9 @@ impl Overhead {
 /// 1854 B (§1.2); with 40-bit addresses the model yields 1856 B — a 2-byte
 /// rounding difference from the paper's unstated tag width.
 pub fn sbar_overhead(p: &OverheadParams) -> Overhead {
-    let entries = u64::from(p.leader_sets) * u64::from(p.geometry.ways());
+    let entries = u64::from(p.leader_sets).saturating_mul(u64::from(p.geometry.ways()));
     Overhead {
-        atd_bits: entries * u64::from(p.atd_entry_bits()),
+        atd_bits: entries.saturating_mul(u64::from(p.atd_entry_bits())),
         psel_bits: u64::from(p.psel_bits),
         cost_q_bits: 0,
         mshr_bits: 0,
@@ -112,8 +115,8 @@ pub fn lin_overhead(p: &OverheadParams) -> Overhead {
     Overhead {
         atd_bits: 0,
         psel_bits: 0,
-        cost_q_bits: p.geometry.lines() * u64::from(p.cost_q_bits),
-        mshr_bits: u64::from(p.mshr_entries) * u64::from(p.mshr_cost_bits),
+        cost_q_bits: p.geometry.lines().saturating_mul(u64::from(p.cost_q_bits)),
+        mshr_bits: u64::from(p.mshr_entries).saturating_mul(u64::from(p.mshr_cost_bits)),
     }
 }
 
@@ -121,15 +124,15 @@ pub fn lin_overhead(p: &OverheadParams) -> Overhead {
 /// plus PSEL counters (`sets` of them for local, one for global). This is
 /// what makes CBS impractical and motivates sampling.
 pub fn cbs_overhead(p: &OverheadParams, local: bool) -> Overhead {
-    let entries = p.geometry.lines() * 2; // two full ATDs
+    let entries = p.geometry.lines().saturating_mul(2); // two full ATDs
     let psel_count = if local {
         u64::from(p.geometry.sets())
     } else {
         1
     };
     Overhead {
-        atd_bits: entries * u64::from(p.atd_entry_bits()),
-        psel_bits: psel_count * u64::from(p.psel_bits),
+        atd_bits: entries.saturating_mul(u64::from(p.atd_entry_bits())),
+        psel_bits: psel_count.saturating_mul(u64::from(p.psel_bits)),
         cost_q_bits: 0,
         mshr_bits: 0,
     }

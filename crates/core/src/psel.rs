@@ -34,6 +34,10 @@ impl Psel {
     /// # Panics
     ///
     /// Panics unless `1 <= bits <= 31`.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "bits is asserted to lie in 1..=31"
+    )]
     pub fn new(bits: u32) -> Self {
         assert!((1..=31).contains(&bits), "PSEL width must be 1..=31 bits");
         let max = (1u32 << bits) - 1;

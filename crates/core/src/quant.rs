@@ -57,12 +57,10 @@ pub fn quantize(mlp_cost_cycles: f64) -> CostQ {
 /// Panics if `cost_q > 7`.
 pub fn bucket_range(cost_q: CostQ) -> (f64, f64) {
     assert!(cost_q <= COST_Q_MAX, "cost_q is a 3-bit value");
-    // lint: bounded("f64 arithmetic saturates to inf; no integer overflow")
     let lo = f64::from(cost_q) * COST_Q_INTERVAL_CYCLES;
     let hi = if cost_q == COST_Q_MAX {
         f64::INFINITY
     } else {
-        // lint: bounded("f64 arithmetic saturates to inf; no integer overflow")
         lo + COST_Q_INTERVAL_CYCLES
     };
     (lo, hi)
@@ -76,7 +74,7 @@ pub fn bucket_range(cost_q: CostQ) -> (f64, f64) {
 /// Panics if `cost_q > 7`.
 pub fn bucket_label(cost_q: CostQ) -> String {
     assert!(cost_q <= COST_Q_MAX, "cost_q is a 3-bit value");
-    // lint: bounded("cost_q <= 7 (asserted above) and the interval is 60: max 420")
+    // cost_q <= 7 (asserted above) and the interval is 60: at most 420.
     let lo = u32::from(cost_q) * COST_Q_INTERVAL_CYCLES_INT;
     if cost_q == COST_Q_MAX {
         format!("{lo}+")

@@ -205,10 +205,10 @@ impl ReplacementEngine for SbarEngine {
             // Leader sets in the MTD implement only the LIN policy (§6.4).
             self.lin.victim(ctx)
         } else if self.psel.msb_set() {
-            self.stats.follower_lin_victims += 1;
+            self.stats.follower_lin_victims = self.stats.follower_lin_victims.saturating_add(1);
             self.lin.victim(ctx)
         } else {
-            self.stats.follower_lru_victims += 1;
+            self.stats.follower_lru_victims = self.stats.follower_lru_victims.saturating_add(1);
             self.lru.victim(ctx)
         }
     }
@@ -239,7 +239,8 @@ impl ReplacementEngine for SbarEngine {
                 // The LIN-managed leader set missed where LRU would have
                 // hit: LRU wins this access. The decrement amount is the
                 // cost_q the miss is eventually serviced with.
-                *self.pending_dec.entry(line).or_insert(0) += 1;
+                let pending = self.pending_dec.entry(line).or_insert(0);
+                *pending = pending.saturating_add(1);
             }
             (true, false) => {
                 // LIN kept a line LRU would have evicted: LIN wins. The
@@ -247,7 +248,7 @@ impl ReplacementEngine for SbarEngine {
                 // cost_q comes from the MTD's tag-store entry.
                 let cost = resident_cost_q.unwrap_or(0);
                 self.psel.inc_by(u32::from(cost));
-                self.stats.psel_increments += 1;
+                self.stats.psel_increments = self.stats.psel_increments.saturating_add(1);
                 self.sink.emit_with(|| Event::LeaderDivergence {
                     unit: "sbar".to_string(),
                     side: "atd_lru_miss".to_string(),
@@ -265,9 +266,14 @@ impl ReplacementEngine for SbarEngine {
         // for diagnostics under an LRU ATD, but is what hardware would do).
         self.atd_lru.set_cost_q(line, cost_q);
         if let Some(n) = self.pending_dec.remove(&line) {
+            #[expect(
+                clippy::arithmetic_side_effects,
+                reason = "negating a widened u8 cannot overflow"
+            )]
+            let delta = -i64::from(cost_q);
             for _ in 0..n {
                 self.psel.dec_by(u32::from(cost_q));
-                self.stats.psel_decrements += 1;
+                self.stats.psel_decrements = self.stats.psel_decrements.saturating_add(1);
                 let seq = self.last_seq;
                 self.sink.emit_with(|| Event::LeaderDivergence {
                     unit: "sbar".to_string(),
@@ -276,7 +282,7 @@ impl ReplacementEngine for SbarEngine {
                     cost_q,
                     seq,
                 });
-                self.note_psel_update(-i64::from(cost_q), seq);
+                self.note_psel_update(delta, seq);
             }
         }
     }

@@ -126,6 +126,10 @@ impl AttribTracker {
     /// entries currently outstanding. Call sites mirror `ccl.advance`:
     /// MSHR occupancy must not have changed since `last_cycle`. No-op
     /// outside a span.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "i counts demand entries, at most the MSHR capacity"
+    )]
     pub fn charge(&mut self, mshr: &Mshr, now: u64) {
         if !self.active || now <= self.last_cycle {
             return;
@@ -141,7 +145,7 @@ impl AttribTracker {
         let mut i = 0u64;
         for (id, entry) in mshr.iter() {
             if entry.is_demand {
-                self.slot_acc[id.0] += exact_share(delta, n, i);
+                self.slot_acc[id.0] = self.slot_acc[id.0].saturating_add(exact_share(delta, n, i));
                 i += 1;
             }
         }
@@ -253,7 +257,10 @@ impl AttribTracker {
 
     /// Running ledger total (for the reconciliation invariant).
     pub fn total(&self) -> u64 {
-        self.ledger.total() + self.residual + self.slot_acc.iter().sum::<u64>()
+        self.ledger
+            .total()
+            .saturating_add(self.residual)
+            .saturating_add(self.slot_acc.iter().sum::<u64>())
     }
 
     /// Whether a span is currently open.

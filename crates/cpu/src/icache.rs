@@ -81,11 +81,15 @@ impl FetchWalker {
 
     /// Advances by one dispatched instruction; returns the line address to
     /// fetch if this instruction starts a new cache line.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "new() asserts a non-zero code_lines"
+    )]
     pub fn advance(&mut self) -> Option<u64> {
         let needs_fetch = self.instructions.is_multiple_of(INSTS_PER_LINE);
         let line = (self.instructions / INSTS_PER_LINE) % self.code_lines;
-        self.instructions += 1;
-        needs_fetch.then_some(CODE_BASE_LINE + line)
+        self.instructions = self.instructions.saturating_add(1);
+        needs_fetch.then_some(CODE_BASE_LINE.wrapping_add(line))
     }
 
     /// Instructions walked so far.

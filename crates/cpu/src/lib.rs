@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
+#![cfg_attr(not(test), warn(clippy::arithmetic_side_effects))]
 
 //! Trace-driven out-of-order processor timing model.
 //!

@@ -235,14 +235,11 @@ impl<P: Probe> System<P> {
     where
         I: IntoIterator<Item = &'a Access>,
     {
-        if P::ENABLED {
-            let ev = Event::RunStart {
-                label: self.policy_label.clone(),
-                policy: self.l2.policy_name().to_string(),
-                cycle: self.now,
-            };
-            self.probe.emit(ev);
-        }
+        self.probe.emit(|| Event::RunStart {
+            label: self.policy_label.clone(),
+            policy: self.l2.policy_name().to_string(),
+            cycle: self.now,
+        });
         for access in trace {
             self.dispatch_gap(access.gap);
             self.dispatch_memory(access);
@@ -252,6 +249,10 @@ impl<P: Probe> System<P> {
     }
 
     /// Dispatches `n` non-memory instructions.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "skipped and burst never exceed remaining"
+    )]
     fn dispatch_gap(&mut self, n: u32) {
         // No profiler scope here: the exclusive work is a handful of
         // window pushes, and the expensive paths it can hit (I-fetch,
@@ -264,9 +265,10 @@ impl<P: Probe> System<P> {
             for _ in 0..n {
                 self.fetch_one();
                 self.ensure_dispatch_slot();
-                self.window.push(WinEntry::compute(self.now + 1), self.now);
-                self.dispatched_this_cycle += 1;
-                self.dispatched_total += 1;
+                self.window
+                    .push(WinEntry::compute(self.now.saturating_add(1)), self.now);
+                self.dispatched_this_cycle = self.dispatched_this_cycle.saturating_add(1);
+                self.dispatched_total = self.dispatched_total.saturating_add(1);
                 self.maybe_mispredict();
             }
             return;
@@ -291,7 +293,7 @@ impl<P: Probe> System<P> {
             let burst = remaining.min(width_left).min(self.window.free() as u32);
             self.window.push_computes(burst, self.now);
             self.dispatched_this_cycle = self.dispatched_this_cycle.saturating_add(burst);
-            self.dispatched_total += u64::from(burst);
+            self.dispatched_total = self.dispatched_total.saturating_add(u64::from(burst));
             self.maybe_mispredict();
             remaining -= burst;
         }
@@ -330,6 +332,11 @@ impl<P: Probe> System<P> {
     ///   the event cycle itself is reached by ordinary stepping and all
     ///   policy/CCL/ledger state mutations keep their exact order and
     ///   timestamps.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "width >= 1 (a zero-width core never dispatches); retired < next_epoch \
+                  holds between calls; c <= remaining / width keeps c * width <= remaining"
+    )]
     fn gap_fast_forward(&mut self, remaining: u32) -> u32 {
         debug_assert!(self.icache.is_none() && self.dispatched_this_cycle == 0);
         let width = self.cfg.cpu.width;
@@ -352,10 +359,10 @@ impl<P: Probe> System<P> {
         }
         c = c.min((self.next_branch_at - 1).saturating_sub(self.dispatched_total) / wu);
         if let Some((_, done)) = self.mshr.next_completion() {
-            c = c.min(done.saturating_sub(self.now + 1));
+            c = c.min(done.saturating_sub(self.now.saturating_add(1)));
         }
         if let Some(Reverse((at, _, _, _))) = self.squashes.peek() {
-            c = c.min(at.saturating_sub(self.now + 1));
+            c = c.min(at.saturating_sub(self.now.saturating_add(1)));
         }
         if c == 0 {
             return 0;
@@ -385,8 +392,8 @@ impl<P: Probe> System<P> {
         self.window.fast_forward(c, width, self.now);
         let insts = c * wu;
         self.now = self.now.saturating_add(c);
-        self.retired += insts;
-        self.dispatched_total += insts;
+        self.retired = self.retired.saturating_add(insts);
+        self.dispatched_total = self.dispatched_total.saturating_add(insts);
         self.last_retire_cycle = self.now;
         u32::try_from(insts).expect("bounded by `remaining`, a u32")
     }
@@ -403,19 +410,20 @@ impl<P: Probe> System<P> {
                     .stbuf
                     .next_completion()
                     .expect("a full buffer has a completion")
-                    .max(self.now + 1);
+                    .max(self.now.saturating_add(1));
                 self.advance_to(t);
                 self.ensure_dispatch_slot();
             }
         }
         let line = LineAddr(a.line);
         let seq = self.seq;
-        self.seq += 1;
+        self.seq = self.seq.saturating_add(1);
         let (mem_done, l2_miss) = self.resolve_memory(line, is_store, seq);
         if is_store {
             // Stores retire immediately; the buffer owns the latency.
             self.stbuf.push(mem_done);
-            self.window.push(WinEntry::compute(self.now + 1), self.now);
+            self.window
+                .push(WinEntry::compute(self.now.saturating_add(1)), self.now);
         } else {
             self.window.push(
                 WinEntry {
@@ -426,8 +434,8 @@ impl<P: Probe> System<P> {
                 self.now,
             );
         }
-        self.dispatched_this_cycle += 1;
-        self.dispatched_total += 1;
+        self.dispatched_this_cycle = self.dispatched_this_cycle.saturating_add(1);
+        self.dispatched_total = self.dispatched_total.saturating_add(1);
         self.maybe_mispredict();
     }
 
@@ -449,9 +457,9 @@ impl<P: Probe> System<P> {
     /// branch resolves.
     fn inject_wrong_path(&mut self, wp: crate::wrongpath::WrongPathConfig) {
         for _ in 0..wp.burst {
-            let line = LineAddr(WRONG_PATH_BASE_LINE + self.wrong_path_cursor);
-            self.wrong_path_cursor += 1;
-            self.wrong_path_injected += 1;
+            let line = LineAddr(WRONG_PATH_BASE_LINE.wrapping_add(self.wrong_path_cursor));
+            self.wrong_path_cursor = self.wrong_path_cursor.wrapping_add(1);
+            self.wrong_path_injected = self.wrong_path_injected.saturating_add(1);
             let seq = self.seq;
             if let Some(l1) = &mut self.l1 {
                 l1.access(line, false, seq);
@@ -464,14 +472,12 @@ impl<P: Probe> System<P> {
                 // Wrong-path merges never promote: a speculative touch is
                 // no evidence the line is wanted.
                 self.mshr.merge(id);
-                if P::ENABLED {
-                    self.probe.emit(Event::MshrMerge {
-                        cycle: self.now,
-                        line: line.0,
-                        promoted: false,
-                        live: self.mshr.len() as u64,
-                    });
-                }
+                self.probe.emit(|| Event::MshrMerge {
+                    cycle: self.now,
+                    line: line.0,
+                    promoted: false,
+                    live: self.mshr.len() as u64,
+                });
                 continue;
             }
             if let Some(ev) = r2.evicted {
@@ -491,7 +497,7 @@ impl<P: Probe> System<P> {
                 .allocate(line, self.now, done, true)
                 .expect("fullness checked above");
             self.note_mshr_alloc(id, line);
-            self.wrong_path_mshr_misses += 1;
+            self.wrong_path_mshr_misses = self.wrong_path_mshr_misses.saturating_add(1);
             self.squashes.push(Reverse((
                 self.now.saturating_add(wp.resolve_cycles),
                 id.0,
@@ -556,7 +562,7 @@ impl<P: Probe> System<P> {
         // Allocate an MSHR entry, stalling on structural hazard.
         while self.mshr.is_full() {
             let (_, done) = self.mshr.next_completion().expect("full MSHR has entries");
-            self.advance_to(done.max(self.now + 1));
+            self.advance_to(done.max(self.now.saturating_add(1)));
         }
         // The request leaves for memory at dispatch: tag lookup overlaps
         // request initiation, so an isolated miss spends exactly the
@@ -581,18 +587,12 @@ impl<P: Probe> System<P> {
         self.mshr.merge(id);
         let promoted = !self.mshr.entry(id).is_demand;
         self.promote_if_prefetch(id);
-        if P::ENABLED {
-            let ev = {
-                let e = self.mshr.entry(id);
-                Event::MshrMerge {
-                    cycle: self.now,
-                    line: e.line.0,
-                    promoted,
-                    live: self.mshr.len() as u64,
-                }
-            };
-            self.probe.emit(ev);
-        }
+        self.probe.emit(|| Event::MshrMerge {
+            cycle: self.now,
+            line: self.mshr.entry(id).line.0,
+            promoted,
+            live: self.mshr.len() as u64,
+        });
     }
 
     /// Promotes a merged-into MSHR entry to demand status (a prefetch or
@@ -603,7 +603,7 @@ impl<P: Probe> System<P> {
             // Accrue the pre-promotion interval at the old occupancy.
             self.ccl.advance(&mut self.mshr, self.now);
             self.mshr.promote_to_demand(id);
-            self.prefetches_promoted += 1;
+            self.prefetches_promoted = self.prefetches_promoted.saturating_add(1);
         }
     }
 
@@ -636,7 +636,7 @@ impl<P: Probe> System<P> {
                     self.mem.writeback(ev.line, self.now);
                 }
             }
-            self.prefetches_issued += 1;
+            self.prefetches_issued = self.prefetches_issued.saturating_add(1);
         }
     }
 
@@ -646,7 +646,7 @@ impl<P: Probe> System<P> {
             if self.now < self.ifetch_ready_at {
                 // Frontend stall: the next instructions are still being
                 // fetched. The window may drain meanwhile.
-                let target = self.ifetch_ready_at.max(self.now + 1);
+                let target = self.ifetch_ready_at.max(self.now.saturating_add(1));
                 // `target > now` by the max above: the subtraction is exact.
                 let waited = target.wrapping_sub(self.now);
                 self.ifetch_stall_cycles = self.ifetch_stall_cycles.saturating_add(waited);
@@ -699,7 +699,7 @@ impl<P: Probe> System<P> {
     /// pending head stalls the machine even though the window is no longer
     /// full (no more instructions exist to dispatch).
     fn step(&mut self, draining: bool) {
-        let mut target = self.now + 1;
+        let mut target = self.now.saturating_add(1);
         let mut memory_stall_span = false;
         let mut span_head_line = 0u64;
         if self.window.is_full() || draining {
@@ -713,13 +713,11 @@ impl<P: Probe> System<P> {
                     memory_stall_span = true;
                     span_head_line = head.line;
                     if stall >= LONG_STALL_CYCLES {
-                        self.stall_episodes += 1;
-                        if P::ENABLED {
-                            self.probe.emit(Event::Stall {
-                                cycle: self.now,
-                                len: stall,
-                            });
-                        }
+                        self.stall_episodes = self.stall_episodes.saturating_add(1);
+                        self.probe.emit(|| Event::Stall {
+                            cycle: self.now,
+                            len: stall,
+                        });
                     }
                 }
                 target = head.done;
@@ -780,21 +778,19 @@ impl<P: Probe> System<P> {
         tracker.charge(&self.mshr, self.now);
         let residual = tracker.residual_charge();
         let span = tracker.close(self.now, 0);
-        if P::ENABLED {
-            if let Some(c) = residual {
-                // The residual lands under the span's resolved bucket (the
-                // head's cost_q when its entry freed mid-span).
-                self.probe.emit(Event::StallAttrib {
-                    cycle: self.now,
-                    line: c.line,
-                    set: c.set,
-                    cost_q: span.cost_q,
-                    policy: span.policy.clone(),
-                    cycles: c.cycles,
-                });
-            }
-            self.probe.emit(span.to_event());
+        if let Some(c) = residual {
+            // The residual lands under the span's resolved bucket (the
+            // head's cost_q when its entry freed mid-span).
+            self.probe.emit(|| Event::StallAttrib {
+                cycle: self.now,
+                line: c.line,
+                set: c.set,
+                cost_q: span.cost_q,
+                policy: span.policy.clone(),
+                cycles: c.cycles,
+            });
         }
+        self.probe.emit(|| span.to_event());
     }
 
     /// Moves time to `t`: services fills due by then, retires, samples.
@@ -804,7 +800,7 @@ impl<P: Probe> System<P> {
         self.now = t;
         self.dispatched_this_cycle = 0;
         let retired = self.window.retire_ready(self.now, self.cfg.cpu.width);
-        self.retired += u64::from(retired);
+        self.retired = self.retired.saturating_add(u64::from(retired));
         if retired > 0 {
             self.after_retire();
         }
@@ -859,17 +855,15 @@ impl<P: Probe> System<P> {
                 // Every free flushes: the entry's cost_q is final here, and
                 // clearing the slot's tag keeps reuse sound.
                 let flushed = tracker.flush_slot(id.0, eline, ecost);
-                if P::ENABLED {
-                    if let Some(c) = flushed {
-                        self.probe.emit(Event::StallAttrib {
-                            cycle: done,
-                            line: c.line,
-                            set: c.set,
-                            cost_q: c.cost_q,
-                            policy: c.policy.to_string(),
-                            cycles: c.cycles,
-                        });
-                    }
+                if let Some(c) = flushed {
+                    self.probe.emit(|| Event::StallAttrib {
+                        cycle: done,
+                        line: c.line,
+                        set: c.set,
+                        cost_q: c.cost_q,
+                        policy: c.policy.to_string(),
+                        cycles: c.cycles,
+                    });
                 }
             }
             let entry = self.mshr.free(id);
@@ -879,14 +873,12 @@ impl<P: Probe> System<P> {
                 self.cost_hist.record(cost);
                 self.deltas.observe(entry.line.0, cost);
                 self.l2.record_serviced_cost(entry.line, q);
-                if P::ENABLED {
-                    self.probe.emit(Event::Serviced {
-                        line: entry.line.0,
-                        cycle: done,
-                        cost,
-                        cost_q: q,
-                    });
-                }
+                self.probe.emit(|| Event::Serviced {
+                    line: entry.line.0,
+                    cycle: done,
+                    cost,
+                    cost_q: q,
+                });
                 if let Some(s) = &mut self.sampler {
                     s.record_miss_cost(q);
                 }
@@ -904,7 +896,7 @@ impl<P: Probe> System<P> {
         self.last_retire_cycle = self.now;
         while self.retired >= self.next_epoch {
             self.l2.on_epoch();
-            self.next_epoch += self.cfg.epoch_insts.max(1);
+            self.next_epoch = self.next_epoch.saturating_add(self.cfg.epoch_insts.max(1));
         }
         let misses = self.l2.stats().misses;
         let new_samples = match &mut self.sampler {
@@ -912,6 +904,10 @@ impl<P: Probe> System<P> {
             None => 0,
         };
         if P::ENABLED && new_samples > 0 {
+            #[expect(
+                clippy::arithmetic_side_effects,
+                reason = "tick() just appended new_samples samples"
+            )]
             let fresh: Vec<crate::timeseries::Sample> = {
                 let all = self
                     .sampler
@@ -921,7 +917,7 @@ impl<P: Probe> System<P> {
                 all[all.len() - new_samples..].to_vec()
             };
             for sm in fresh {
-                self.probe.emit(Event::Sample {
+                self.probe.emit(|| Event::Sample {
                     instructions: sm.instructions,
                     cycle: self.now,
                     ipc: sm.ipc,
@@ -945,7 +941,7 @@ impl<P: Probe> System<P> {
             .map(|(id, e)| (id, e.done_cycle))
             .max_by_key(|&(_, d)| d)
         {
-            self.advance_to(last.max(self.now + 1));
+            self.advance_to(last.max(self.now.saturating_add(1)));
         }
     }
 
@@ -962,17 +958,16 @@ impl<P: Probe> System<P> {
                 self.mem_stall_cycles
             );
         }
+        self.probe.emit(|| Event::RunEnd {
+            label: self.policy_label.clone(),
+            policy: self.l2.policy_name().to_string(),
+            cycle: self.last_retire_cycle,
+            instructions: self.retired,
+            l2_misses: self.l2.stats().misses,
+            peak_mlp: self.mshr.peak_demand() as u64,
+            mem_stall_cycles: self.mem_stall_cycles,
+        });
         if P::ENABLED {
-            let ev = Event::RunEnd {
-                label: self.policy_label.clone(),
-                policy: self.l2.policy_name().to_string(),
-                cycle: self.last_retire_cycle,
-                instructions: self.retired,
-                l2_misses: self.l2.stats().misses,
-                peak_mlp: self.mshr.peak_demand() as u64,
-                mem_stall_cycles: self.mem_stall_cycles,
-            };
-            self.probe.emit(ev);
             self.probe.sink().flush();
         }
         let policy_debug = self.l2.engine_debug_state();

@@ -56,8 +56,8 @@ impl Sampler {
 
     /// Records a serviced miss's quantized cost.
     pub fn record_miss_cost(&mut self, cost_q: u8) {
-        self.cost_q_sum += u64::from(cost_q);
-        self.cost_q_count += 1;
+        self.cost_q_sum = self.cost_q_sum.saturating_add(u64::from(cost_q));
+        self.cost_q_count = self.cost_q_count.saturating_add(1);
     }
 
     /// Called after retirement; emits a sample when the interval boundary
@@ -66,9 +66,9 @@ impl Sampler {
     pub fn tick(&mut self, instructions: u64, cycles: u64, l2_misses: u64) -> usize {
         let before = self.samples.len();
         while instructions >= self.next_at {
-            let d_inst = instructions - self.last_insts;
+            let d_inst = instructions.saturating_sub(self.last_insts);
             let d_cyc = cycles.saturating_sub(self.last_cycles).max(1);
-            let d_miss = l2_misses - self.last_misses;
+            let d_miss = l2_misses.saturating_sub(self.last_misses);
             let ipc = d_inst as f64 / d_cyc as f64;
             let mpki = if d_inst == 0 {
                 0.0
@@ -93,7 +93,7 @@ impl Sampler {
             self.cost_q_count = 0;
             self.next_at = self.next_at.saturating_add(self.interval);
         }
-        self.samples.len() - before
+        self.samples.len().saturating_sub(before)
     }
 
     /// The retired-instruction count at which the next sample fires. A

@@ -127,6 +127,7 @@ impl InstructionWindow {
     }
 
     /// Free entries.
+    #[expect(clippy::arithmetic_side_effects, reason = "len never exceeds capacity")]
     pub fn free(&self) -> usize {
         self.capacity - self.len
     }
@@ -146,16 +147,20 @@ impl InstructionWindow {
     /// Panics if the window is full (callers must check [`is_full`]).
     ///
     /// [`is_full`]: InstructionWindow::is_full
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "the assert keeps len below capacity"
+    )]
     pub fn push(&mut self, entry: WinEntry, now: u64) {
         assert!(!self.is_full(), "dispatch into a full window");
         self.note_push_cycle(now);
         // An entry completing at `now + 1` with no miss identity is the
         // generic shape its position already encodes; anything else must
         // be remembered explicitly.
-        if entry.done != now + 1 || entry.l2_miss {
+        if entry.done != now.saturating_add(1) || entry.l2_miss {
             self.explicit.push_back((self.pushed, entry));
         }
-        self.pushed += 1;
+        self.pushed = self.pushed.saturating_add(1);
         self.len += 1;
     }
 
@@ -165,10 +170,14 @@ impl InstructionWindow {
     /// # Panics
     ///
     /// Panics if fewer than `n` entries are free.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "the assert keeps len + n within capacity"
+    )]
     pub fn push_computes(&mut self, n: u32, now: u64) {
         assert!(self.free() >= n as usize, "dispatch into a full window");
         self.note_push_cycle(now);
-        self.pushed += u64::from(n);
+        self.pushed = self.pushed.saturating_add(u64::from(n));
         self.len += n as usize;
     }
 
@@ -188,11 +197,16 @@ impl InstructionWindow {
         // Implicit head: complete at its push cycle + 1, so it stalls
         // exactly when it belongs to a batch pushed this very cycle.
         (now == self.last_push_cycle && self.popped >= self.batch_start)
-            .then(|| WinEntry::compute(now + 1))
+            .then(|| WinEntry::compute(now.saturating_add(1)))
     }
 
     /// Retires up to `max` instructions whose completion cycle is at or
     /// before `now`, in order; returns how many retired.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "got < max; popped < next_explicit in the first arm; every retired entry \
+                  is resident, so len covers it and popped stays below pushed"
+    )]
     pub fn retire_ready(&mut self, now: u64, max: u32) -> u32 {
         debug_assert!(
             now >= self.last_push_cycle,
@@ -232,6 +246,10 @@ impl InstructionWindow {
     /// Explicit entries oldest-first as `(position relative to the head,
     /// entry)` — the only residents that can block the in-order retirement
     /// schedule (every implicit entry completes by its retirement slot).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "every queued entry\'s position is at or past popped"
+    )]
     pub fn explicit_from_head(&self) -> impl Iterator<Item = (u64, &WinEntry)> {
         self.explicit.iter().map(|(pos, e)| (pos - self.popped, e))
     }
@@ -247,6 +265,11 @@ impl InstructionWindow {
     /// this is debug-asserted here.
     ///
     /// [`explicit_from_head`]: InstructionWindow::explicit_from_head
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "cycles >= 1 and width >= 1; queued positions are at or past popped; \
+                  pushed >= cycles * width >= width after the jump"
+    )]
     pub fn fast_forward(&mut self, cycles: u64, width: u32, now: u64) {
         debug_assert!(now >= self.last_push_cycle, "time must be monotone");
         let n = cycles.saturating_mul(u64::from(width));
@@ -255,7 +278,6 @@ impl InstructionWindow {
                 break;
             }
             debug_assert!(
-                // lint: bounded("pos >= popped for every queued entry; the quotient is <= cycles")
                 e.done <= now + (pos - self.popped) / u64::from(width) + 1,
                 "fast-forward crossed an entry that misses its retire slot"
             );

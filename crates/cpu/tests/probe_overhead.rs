@@ -17,7 +17,6 @@ use mlpsim_cpu::{System, SystemConfig};
 use mlpsim_telemetry::{SinkHandle, SinkProbe};
 use mlpsim_trace::spec::SpecBench;
 use std::hint::black_box;
-use std::time::Instant;
 
 const ACCESSES: usize = 40_000;
 const ROUNDS: usize = 11;
@@ -28,6 +27,11 @@ const MAX_OVERHEAD: f64 = 1.02;
 /// round-robin so frequency/thermal drift hits all of them alike. The
 /// minimum is the noise-robust estimator here: preemption only ever adds
 /// time, so the fastest sample is the closest view of the code's cost.
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "timing test: host time is the quantity under test"
+)]
 fn interleaved_minimums<const N: usize>(mut runs: [&mut dyn FnMut(); N]) -> [f64; N] {
     let mut best = [f64::INFINITY; N];
     // One untimed warm-up pass per variant.
@@ -36,7 +40,7 @@ fn interleaved_minimums<const N: usize>(mut runs: [&mut dyn FnMut(); N]) -> [f64
     }
     for _ in 0..ROUNDS {
         for (i, r) in runs.iter_mut().enumerate() {
-            let t0 = Instant::now();
+            let t0 = std::time::Instant::now();
             r();
             best[i] = best[i].min(t0.elapsed().as_nanos() as f64);
         }

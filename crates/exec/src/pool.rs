@@ -63,7 +63,7 @@ pub fn jobs_from_var(raw: Option<&str>) -> (Option<usize>, Option<String>) {
 /// Cooperative cancellation flag shared between a job's submitter and the
 /// pool workers (and, in the serving layer, a deadline watchdog). The
 /// token carries no clock — deadlines are built *on top* by whoever owns
-/// wall time (lint rule D2 keeps this crate clock-free): a watchdog thread
+/// wall time (rule D2 keeps this crate clock-free): a watchdog thread
 /// sleeps, then calls [`CancelToken::cancel`].
 ///
 /// Cancellation is observed at job granularity by
@@ -118,7 +118,7 @@ impl std::error::Error for Cancelled {}
 /// serving layer passes one to turn every matrix cell into a trace span.
 ///
 /// The clock is *injected* as a plain function pointer — this crate stays
-/// clock-free (lint rule D2), exactly like [`CancelToken`] keeps deadlines
+/// clock-free (rule D2), exactly like [`CancelToken`] keeps deadlines
 /// out of the pool. `record(idx, start, end)` is called on the worker
 /// thread right after job `idx` finishes, with two readings of `clock`
 /// bracketing the job body; it must be cheap and must not panic.
@@ -139,7 +139,7 @@ impl fmt::Debug for SpanHook {
 /// A boxed unit of work.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A fixed set of worker threads pulling [`Job`]s from a shared queue.
+/// A fixed set of worker threads pulling boxed `FnOnce` jobs from a shared queue.
 ///
 /// Determinism contract: the pool itself imposes *no* ordering on job
 /// execution — only [`WorkerPool::map_ordered`] does, by tagging each job

@@ -1,12 +1,14 @@
-//! The `mlpsim` command line: one parser for every subcommand.
+//! The workspace's command lines: one parser for every binary.
 //!
 //! `mlpsim <experiment> [flags] [args]` names a [`registry`] entry, and
 //! [`parse`] reads the rest of the line once, against that entry's own
-//! flag list. A flag the entry does not use is an error, not a no-op: a
-//! typo like `--job 4`, or `--telemetry` on an experiment that streams no
-//! events, would otherwise run to completion and quietly drop the request.
-//! Bad input yields a one-line message and [`EXIT_USAGE`], never a panic —
-//! lint rule D4 bans `unwrap`/`panic!` on these paths (see DESIGN.md §10).
+//! flag list. `mlpsim-serve` and `mlpsim-client` describe their command
+//! lines as [`Command`]s and go through [`parse_command`] and
+//! [`parse_subcommand`]. A flag the command does not use is an error, not
+//! a no-op: a typo like `--job 4`, or `--telemetry` on an experiment that
+//! streams no events, would otherwise run to completion and quietly drop
+//! the request. Bad input yields a one-line message and [`EXIT_USAGE`],
+//! never a panic (rule D4, DESIGN.md §10).
 //!
 //! [`registry`]: crate::registry
 
@@ -55,10 +57,27 @@ pub enum Flag {
     PruneMargin,
     /// `--traces PATH`: fold a serve flight-recorder dump instead.
     Traces,
+    /// `--addr HOST:PORT`: the address `mlpsim-serve` binds.
+    Addr,
+    /// `--data-dir DIR`: where `mlpsim-serve` keeps its journal.
+    DataDir,
+    /// `--queue N`: `mlpsim-serve`'s admission-queue capacity (0 refuses
+    /// every submission).
+    Queue,
+    /// `--retry-after SECS`: the `Retry-After` a full queue answers with.
+    RetryAfter,
+    /// `--read-timeout-ms MS`: the read timeout on accepted sockets.
+    ReadTimeoutMs,
+    /// `--server URL`: the `mlpsim-serve` instance a client talks to.
+    Server,
+    /// `--traceparent TP`: a W3C trace context to continue.
+    Traceparent,
+    /// `--chrome`: a switch, render a trace as Chrome trace-event JSON.
+    Chrome,
 }
 
 impl Flag {
-    const ALL: [Flag; 7] = [
+    const ALL: [Flag; 15] = [
         Flag::Jobs,
         Flag::Accesses,
         Flag::Telemetry,
@@ -66,6 +85,14 @@ impl Flag {
         Flag::Plan,
         Flag::PruneMargin,
         Flag::Traces,
+        Flag::Addr,
+        Flag::DataDir,
+        Flag::Queue,
+        Flag::RetryAfter,
+        Flag::ReadTimeoutMs,
+        Flag::Server,
+        Flag::Traceparent,
+        Flag::Chrome,
     ];
 
     /// The long spelling, `--jobs` etc.
@@ -78,20 +105,51 @@ impl Flag {
             Flag::Plan => "--plan",
             Flag::PruneMargin => "--prune-margin",
             Flag::Traces => "--traces",
+            Flag::Addr => "--addr",
+            Flag::DataDir => "--data-dir",
+            Flag::Queue => "--queue",
+            Flag::RetryAfter => "--retry-after",
+            Flag::ReadTimeoutMs => "--read-timeout-ms",
+            Flag::Server => "--server",
+            Flag::Traceparent => "--traceparent",
+            Flag::Chrome => "--chrome",
         }
     }
 
     fn value_name(self) -> &'static str {
         match self {
-            Flag::Jobs | Flag::Accesses => "N",
+            Flag::Jobs | Flag::Accesses | Flag::Queue => "N",
             Flag::Plan => "estimate|full",
             Flag::PruneMargin => "F",
             Flag::Telemetry | Flag::TraceOut | Flag::Traces => "PATH",
+            Flag::Addr => "HOST:PORT",
+            Flag::DataDir => "DIR",
+            Flag::RetryAfter => "SECS",
+            Flag::ReadTimeoutMs => "MS",
+            Flag::Server => "URL",
+            Flag::Traceparent => "TP",
+            Flag::Chrome => "",
         }
     }
 
+    /// Whether the value is a path or address, which must not look like
+    /// a flag (`--telemetry --accesses` must not eat `--accesses`).
     fn takes_path(self) -> bool {
-        matches!(self, Flag::Telemetry | Flag::TraceOut | Flag::Traces)
+        matches!(
+            self,
+            Flag::Telemetry
+                | Flag::TraceOut
+                | Flag::Traces
+                | Flag::Addr
+                | Flag::DataDir
+                | Flag::Server
+                | Flag::Traceparent
+        )
+    }
+
+    /// Whether the flag is a switch that takes no value.
+    fn is_switch(self) -> bool {
+        self == Flag::Chrome
     }
 
     /// Matches one command-line word: `--flag`, `--flag=value`, `-j` or
@@ -113,7 +171,24 @@ impl Flag {
     pub fn usage(self) -> String {
         let short = if self == Flag::Jobs { "-j, " } else { "" };
         format!("{short}{} {}", self.name(), self.value_name())
+            .trim_end()
+            .to_string()
     }
+}
+
+/// One command line's grammar: its name, the flags it reads and its
+/// positional arguments (`<required>` or `[optional]`).
+#[derive(Clone, Copy, Debug)]
+pub struct Command {
+    /// The binary, for usage lines: `mlpsim` before `fig5`, or empty when
+    /// `name` is the binary itself.
+    pub program: &'static str,
+    /// The command's name, as errors and usage lines spell it.
+    pub name: &'static str,
+    /// The flags it reads; every other flag is an error.
+    pub flags: &'static [Flag],
+    /// Positional arguments: `<required>` or `[optional]`.
+    pub positional: &'static [&'static str],
 }
 
 /// A parsed command line: the values of the flags the subcommand accepts
@@ -133,6 +208,22 @@ pub struct Args {
     pub plan: Option<PlanOptions>,
     /// `--traces` path.
     pub traces: Option<String>,
+    /// `--addr`.
+    pub addr: Option<String>,
+    /// `--data-dir`.
+    pub data_dir: Option<String>,
+    /// `--queue`.
+    pub queue: Option<usize>,
+    /// `--retry-after`, in seconds.
+    pub retry_after: Option<u64>,
+    /// `--read-timeout-ms`.
+    pub read_timeout_ms: Option<u64>,
+    /// `--server`.
+    pub server: Option<String>,
+    /// `--traceparent`.
+    pub traceparent: Option<String>,
+    /// `--chrome` was given.
+    pub chrome: bool,
     /// Positional arguments, in order.
     pub positional: Vec<String>,
 }
@@ -201,10 +292,67 @@ pub fn parse(argv: &[String]) -> Result<(&'static Experiment, Args), String> {
     let exp = registry::find(name).ok_or_else(|| {
         format!("unknown experiment {name:?}; run `mlpsim` with no arguments for the list")
     })?;
-    Ok((exp, parse_args(exp, rest)?))
+    let command = Command {
+        program: "mlpsim",
+        name: exp.name,
+        flags: exp.flags,
+        positional: exp.positional,
+    };
+    Ok((exp, parse_command(&command, rest)?))
 }
 
-fn parse_args(exp: &Experiment, argv: &[String]) -> Result<Args, String> {
+/// Parses a line whose first positional word names one of `commands`
+/// (flags may come before it); the rest of the line is parsed against
+/// that command, as [`parse_command`] does.
+///
+/// # Errors
+///
+/// No command word, an unknown one, or any error [`parse_command`]
+/// reports for the named command.
+pub fn parse_subcommand<'c>(
+    commands: &'c [Command],
+    argv: &[String],
+) -> Result<(&'c Command, Args), String> {
+    let known = || {
+        let names: Vec<&str> = commands.iter().map(|c| c.name).collect();
+        names.join(", ")
+    };
+    let mut at = 0;
+    let name = loop {
+        let Some(word) = argv.get(at) else {
+            return Err(format!("no command named; commands: {}", known()));
+        };
+        match Flag::lookup(word) {
+            // A flag's separate value is not the command word.
+            Some((flag, None)) if !flag.is_switch() => at += 2,
+            Some(_) => at += 1,
+            None if word.starts_with('-') && word != "-" => {
+                return Err(format!("unknown flag {word:?} before the command"))
+            }
+            None => break word,
+        }
+    };
+    let command = commands
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command {name:?}; commands: {}", known()))?;
+    let rest: Vec<String> = argv
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| i != at)
+        .map(|(_, w)| w.clone())
+        .collect();
+    Ok((command, parse_command(command, &rest)?))
+}
+
+/// Parses a command's flags and positional arguments.
+///
+/// # Errors
+///
+/// An unknown flag, or one the command does not use; a missing or
+/// malformed flag value; too few or too many positional arguments. Each
+/// message names the offending word.
+pub fn parse_command(exp: &Command, argv: &[String]) -> Result<Args, String> {
     let accepted = || match exp.flags {
         [] => format!("{} takes no flags", exp.name),
         flags => {
@@ -229,6 +377,13 @@ fn parse_args(exp: &Experiment, argv: &[String]) -> Result<Args, String> {
                 flag.name(),
                 accepted()
             ));
+        }
+        if flag.is_switch() {
+            if inline.is_some() {
+                return Err(format!("{} takes no value", flag.name()));
+            }
+            args.chrome = true;
+            continue;
         }
         let value = match inline {
             Some("") if flag.takes_path() => {
@@ -255,6 +410,14 @@ fn parse_args(exp: &Experiment, argv: &[String]) -> Result<Args, String> {
             Flag::Telemetry => args.telemetry = Some(value.to_string()),
             Flag::TraceOut => args.trace_out = Some(value.to_string()),
             Flag::Traces => args.traces = Some(value.to_string()),
+            Flag::Addr => args.addr = Some(value.to_string()),
+            Flag::DataDir => args.data_dir = Some(value.to_string()),
+            Flag::Queue => args.queue = Some(count(flag, value)?),
+            Flag::RetryAfter => args.retry_after = Some(count(flag, value)?),
+            Flag::ReadTimeoutMs => args.read_timeout_ms = Some(positive(flag, value)?),
+            Flag::Server => args.server = Some(value.to_string()),
+            Flag::Traceparent => args.traceparent = Some(value.to_string()),
+            Flag::Chrome => args.chrome = true,
             Flag::Plan => match value {
                 "estimate" | "full" => plan = Some(value == "estimate"),
                 _ => {
@@ -281,7 +444,16 @@ fn parse_args(exp: &Experiment, argv: &[String]) -> Result<Args, String> {
         (_, Some(_)) => return Err("--prune-margin requires --plan estimate".into()),
         _ => None,
     };
-    let usage = format!("usage: mlpsim {} {}", exp.name, exp.positional.join(" "));
+    let words = [exp.program, exp.name]
+        .into_iter()
+        .chain(exp.positional.iter().copied());
+    let usage = format!(
+        "usage: {}",
+        words
+            .filter(|w| !w.is_empty())
+            .collect::<Vec<_>>()
+            .join(" ")
+    );
     if let Some(extra) = args.positional.get(exp.positional.len()) {
         return Err(format!(
             "unexpected argument {extra:?}; {}",
@@ -295,14 +467,22 @@ fn parse_args(exp: &Experiment, argv: &[String]) -> Result<Args, String> {
     Ok(args)
 }
 
-fn positive(flag: Flag, raw: &str) -> Result<usize, String> {
-    match raw.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
+fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
+    flag: Flag,
+    raw: &str,
+) -> Result<T, String> {
+    match raw.parse::<T>() {
+        Ok(n) if n >= T::from(1) => Ok(n),
         _ => Err(format!(
             "{} wants a positive integer, got {raw:?}",
             flag.name()
         )),
     }
+}
+
+fn count<T: std::str::FromStr>(flag: Flag, raw: &str) -> Result<T, String> {
+    raw.parse::<T>()
+        .map_err(|_| format!("{} wants a non-negative integer, got {raw:?}", flag.name()))
 }
 
 /// Resolves a benchmark name from a command line or a job spec.

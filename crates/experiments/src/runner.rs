@@ -172,6 +172,10 @@ pub fn try_run_matrix(
     let machines: Vec<SystemConfig> = policies.iter().map(|&p| opts.config(p)).collect();
     // Cells are submitted bench-major, policy-minor, so a flat submission
     // index decomposes back into (row, col) for the span observer.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D9: the span hook times cells in host time; spans never reach a SimResult"
+    )]
     let hook = opts.cell_spans.as_ref().map(|sink| {
         let cb = Arc::clone(&sink.0);
         let ncols = policies.len().max(1);

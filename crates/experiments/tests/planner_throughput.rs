@@ -21,7 +21,6 @@ use mlpsim_model::characterize::{profile_trace, CharacterizeConfig, TraceProfile
 use mlpsim_model::plan::{score_cell, DEFAULT_PRUNE_MARGIN};
 use mlpsim_trace::spec::SpecBench;
 use std::hint::black_box;
-use std::time::Instant;
 
 const ACCESSES: usize = 120_000;
 const SCORE_ROUNDS: usize = 200;
@@ -35,6 +34,11 @@ const MIN_PROFILE_ACCESSES_PER_SEC: f64 = 3_000_000.0;
 
 #[test]
 #[ignore = "timing test; run with --release -- --ignored"]
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "timing test: host time is the quantity under test"
+)]
 fn profiling_keeps_its_accesses_per_second_floor() {
     let cfg = CharacterizeConfig::baseline();
     let mut accesses = 0u64;
@@ -44,7 +48,7 @@ fn profiling_keeps_its_accesses_per_second_floor() {
         accesses += t.len() as u64;
         best_s += (0..PROFILE_RUNS)
             .map(|_| {
-                let t0 = Instant::now();
+                let t0 = std::time::Instant::now();
                 black_box(profile_trace(black_box(&t), &cfg));
                 t0.elapsed().as_secs_f64()
             })
@@ -64,6 +68,11 @@ fn profiling_keeps_its_accesses_per_second_floor() {
 
 #[test]
 #[ignore = "timing test; run with --release -- --ignored"]
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "timing test: host time is the quantity under test"
+)]
 fn planner_scores_at_least_ten_thousand_cells_per_second() {
     let policies = [
         PolicyKind::Lru,
@@ -79,7 +88,7 @@ fn planner_scores_at_least_ten_thousand_cells_per_second() {
         .collect();
 
     let geometry = Geometry::baseline_l2();
-    let t0 = Instant::now();
+    let t0 = std::time::Instant::now();
     let mut scored = 0u64;
     let mut checksum = 0.0f64;
     for _ in 0..SCORE_ROUNDS {

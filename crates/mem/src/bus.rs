@@ -52,7 +52,7 @@ impl Bus {
         }
         let done = start.saturating_add(self.transfer_cycles);
         self.free_at = done;
-        self.stats.transfers += 1;
+        self.stats.transfers = self.stats.transfers.saturating_add(1);
         done
     }
 

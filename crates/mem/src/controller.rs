@@ -66,7 +66,7 @@ impl MemorySystem {
     pub fn request_fill(&mut self, line: LineAddr, now: u64) -> u64 {
         let data_ready = self.dram.schedule(line, now);
         let done = self.bus.schedule_transfer(data_ready);
-        self.stats_fills += 1;
+        self.stats_fills = self.stats_fills.saturating_add(1);
         // `done >= now`: schedule never completes before the request.
         let latency = done.wrapping_sub(now);
         self.stats_total_latency = self.stats_total_latency.saturating_add(latency);
@@ -79,7 +79,7 @@ impl MemorySystem {
     /// as contended.
     pub fn writeback(&mut self, line: LineAddr, now: u64) {
         self.dram.schedule(line, now);
-        self.stats_writebacks += 1;
+        self.stats_writebacks = self.stats_writebacks.saturating_add(1);
     }
 
     /// Accumulated statistics.

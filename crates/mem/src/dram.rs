@@ -49,6 +49,10 @@ impl DramBanks {
     }
 
     /// The bank a line maps to (line-interleaved).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "new() asserts a non-zero bank count"
+    )]
     pub fn bank_of(&self, line: LineAddr) -> usize {
         (line.0 % self.bank_free_at.len() as u64) as usize
     }
@@ -59,7 +63,7 @@ impl DramBanks {
         let bank = self.bank_of(line);
         let start = arrival.max(self.bank_free_at[bank]);
         if start > arrival {
-            self.stats.bank_conflicts += 1;
+            self.stats.bank_conflicts = self.stats.bank_conflicts.saturating_add(1);
             // `start > arrival` makes the subtraction exact.
             let waited = start.wrapping_sub(arrival);
             self.stats.conflict_wait_cycles =
@@ -67,7 +71,7 @@ impl DramBanks {
         }
         let done = start.saturating_add(self.access_cycles);
         self.bank_free_at[bank] = done;
-        self.stats.requests += 1;
+        self.stats.requests = self.stats.requests.saturating_add(1);
         done
     }
 

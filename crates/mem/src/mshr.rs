@@ -159,6 +159,10 @@ impl Mshr {
     ///
     /// Returns [`MshrFull`] when no slot is free; the caller must stall the
     /// request (the paper's window model naturally back-pressures).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "live and demand_live count occupied slots, so they stay within 0..=capacity"
+    )]
     pub fn allocate(
         &mut self,
         line: LineAddr,
@@ -210,12 +214,16 @@ impl Mshr {
     /// Records a merged access on an existing entry.
     pub fn merge(&mut self, id: MshrId) {
         let e = self.entry_mut(id);
-        e.merged += 1;
+        e.merged = e.merged.saturating_add(1);
     }
 
     /// Promotes an existing non-demand entry to demand status (e.g. a
     /// prefetch that a demand access merged into). The `N` of Algorithm 1
     /// grows accordingly.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "live and demand_live count occupied slots, so they stay within 0..=capacity"
+    )]
     pub fn promote_to_demand(&mut self, id: MshrId) {
         let e = self.slots[id.0].as_mut().expect("live MSHR entry");
         if !e.is_demand {
@@ -232,6 +240,10 @@ impl Mshr {
     /// path are not counted as demand misses" (§3.1). The `N` of
     /// Algorithm 1 shrinks accordingly and the entry's accumulated cost is
     /// discarded by the fill path.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "live and demand_live count occupied slots, so they stay within 0..=capacity"
+    )]
     pub fn demote_from_demand(&mut self, id: MshrId) {
         let e = self.slots[id.0].as_mut().expect("live MSHR entry");
         if e.is_demand {
@@ -270,6 +282,10 @@ impl Mshr {
     /// # Panics
     ///
     /// Panics if the slot is free.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "live and demand_live count occupied slots, so they stay within 0..=capacity"
+    )]
     pub fn free(&mut self, id: MshrId) -> MshrEntry {
         let e = self.slots[id.0].take().expect("live MSHR entry");
         let pos = self

@@ -21,7 +21,7 @@
 //!   curve departs from a power law (low `r2`).
 //!
 //! Both estimators are pure functions of the profile: fixed-iteration
-//! bisection and fixed-node quadrature only (lint rule D2 — no
+//! bisection and fixed-node quadrature only (rule D2 — no
 //! convergence loops), so a cell scores in microseconds and a grid of
 //! 10k cells in under a second.
 

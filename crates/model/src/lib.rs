@@ -26,7 +26,7 @@
 //!   applies per matrix cell (`--plan estimate` / `--prune-margin`).
 //!
 //! Everything here is deterministic and fixed-iteration: no wall clock,
-//! no ambient randomness, no iterate-until-converged loops (lint rule D2
+//! no ambient randomness, no iterate-until-converged loops (rule D2
 //! covers this crate). Scoring never touches the simulator — the
 //! simulated path stays byte-identical whether or not a plan ran.
 

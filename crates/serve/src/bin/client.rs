@@ -25,23 +25,56 @@
 //! spans join an upstream trace. Exit codes: 0 success, 2 usage, 3
 //! transport/server failure.
 
-use mlpsim_experiments::cli::{io_error, usage_error};
+//! The command line goes through the workspace's one parser
+//! (`mlpsim_experiments::cli`), so an unknown or unused flag is an error
+//! that names it, never a silent no-op.
+
+use mlpsim_experiments::cli::{io_error, parse_subcommand, usage_error, Args, Command, Flag};
 use mlpsim_serve::client;
 use std::io::{Read, Write};
 use std::process::ExitCode;
 
-fn usage() {
-    eprintln!(
-        "usage: mlpsim-client --server http://HOST:PORT \
-         <submit [--traceparent TP] SPEC | estimate SPEC | status ID | list | watch ID | \
-         result ID | wait ID | cancel ID | traces [ID] [--chrome] | metrics | drain>"
-    );
+const fn command(
+    name: &'static str,
+    flags: &'static [Flag],
+    positional: &'static [&'static str],
+) -> Command {
+    Command {
+        program: "mlpsim-client",
+        name,
+        flags,
+        positional,
+    }
 }
 
-fn parse_id(raw: Option<&String>) -> Result<u64, String> {
-    raw.ok_or("missing job id".to_string())?
-        .parse()
-        .map_err(|_| "job id wants an integer".to_string())
+const SERVER: &[Flag] = &[Flag::Server];
+
+/// Every `mlpsim-client` command; each takes `--server URL`.
+const COMMANDS: &[Command] = &[
+    command("submit", &[Flag::Server, Flag::Traceparent], &["<spec>"]),
+    command("estimate", SERVER, &["<spec>"]),
+    command("status", SERVER, &["<id>"]),
+    command("list", SERVER, &[]),
+    command("watch", SERVER, &["<id>"]),
+    command("result", SERVER, &["<id>"]),
+    command("wait", SERVER, &["<id>"]),
+    command("cancel", SERVER, &["<id>"]),
+    command("traces", &[Flag::Server, Flag::Chrome], &["[id]"]),
+    command("metrics", SERVER, &[]),
+    command("drain", SERVER, &[]),
+];
+
+/// A failed command: bad input (exit 2) or a transport/server failure
+/// (exit 3).
+enum Failure {
+    Usage(String),
+    Io(String),
+}
+
+fn parse_id(args: &Args) -> Result<u64, Failure> {
+    let raw = args.positional(0).unwrap_or_default();
+    raw.parse()
+        .map_err(|_| Failure::Usage(format!("job id wants an integer, got {raw:?}")))
 }
 
 fn load_spec(raw: &str) -> Result<String, String> {
@@ -58,119 +91,76 @@ fn load_spec(raw: &str) -> Result<String, String> {
     }
 }
 
-fn run(server: &str, command: &str, rest: &[String]) -> Result<String, String> {
-    match command {
+fn run(server: &str, command: &str, args: &Args) -> Result<String, Failure> {
+    let spec = || load_spec(args.positional(0).unwrap_or_default()).map_err(Failure::Io);
+    let out = match command {
         "submit" => {
-            let mut traceparent = None;
-            let mut spec_arg = None;
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                if arg == "--traceparent" {
-                    traceparent = Some(
-                        it.next()
-                            .ok_or("--traceparent wants a 00-…-…-… header value")?
-                            .as_str(),
-                    );
+            let spec = spec()?;
+            let traceparent = args.traceparent.as_deref();
+            client::submit_traced(server, &spec, traceparent).map(|(id, trace_id)| {
+                // Print the trace id only when the caller injected a
+                // context; plain `submit` output stays a bare id for
+                // scripts.
+                if traceparent.is_some() && !trace_id.is_empty() {
+                    format!("{id} {trace_id}")
                 } else {
-                    spec_arg = Some(arg.as_str());
+                    format!("{id}")
                 }
-            }
-            let raw = spec_arg.ok_or("submit wants a spec (json, @file, or -)")?;
-            let spec = load_spec(raw)?;
-            let (id, trace_id) = client::submit_traced(server, &spec, traceparent)?;
-            // Print the trace id only when the caller injected a context;
-            // plain `submit` output stays a bare id for scripts.
-            if traceparent.is_some() && !trace_id.is_empty() {
-                Ok(format!("{id} {trace_id}"))
+            })
+        }
+        "estimate" => client::estimate(server, &spec()?).map(|doc| doc.to_string_compact()),
+        "status" => client::status(server, parse_id(args)?).map(|doc| doc.to_string_compact()),
+        "list" => client::request(server, "GET", "/jobs", None, None).and_then(|resp| {
+            if resp.status == 200 {
+                Ok(resp.text().trim_end().to_string())
             } else {
-                Ok(format!("{id}"))
+                Err(format!("list failed ({})", resp.status))
             }
-        }
-        "estimate" => {
-            let raw = rest
-                .first()
-                .ok_or("estimate wants a spec (json, @file, or -)")?;
-            let spec = load_spec(raw)?;
-            Ok(client::estimate(server, &spec)?.to_string_compact())
-        }
-        "status" => Ok(client::status(server, parse_id(rest.first())?)?.to_string_compact()),
-        "list" => {
-            let resp = client::request(server, "GET", "/jobs", None, None)?;
-            if resp.status != 200 {
-                return Err(format!("list failed ({})", resp.status));
-            }
-            Ok(resp.text().trim_end().to_string())
-        }
+        }),
         "watch" => {
-            let id = parse_id(rest.first())?;
+            let id = parse_id(args)?;
             let mut stdout = std::io::stdout();
             let mut sink = |chunk: &[u8]| {
                 let _ = stdout.write_all(chunk);
                 let _ = stdout.flush();
             };
-            client::watch(server, id, &mut sink)?;
-            let state = client::wait(server, id)?;
-            Ok(format!("job {id}: {state}"))
+            client::watch(server, id, &mut sink)
+                .and_then(|_| client::wait(server, id))
+                .map(|state| format!("job {id}: {state}"))
         }
-        "result" => Ok(client::result(server, parse_id(rest.first())?)?),
+        "result" => client::result(server, parse_id(args)?),
         "wait" => {
-            let id = parse_id(rest.first())?;
-            let state = client::wait(server, id)?;
-            Ok(format!("job {id}: {state}"))
+            let id = parse_id(args)?;
+            client::wait(server, id).map(|state| format!("job {id}: {state}"))
         }
         "cancel" => {
-            let id = parse_id(rest.first())?;
-            let state = client::cancel(server, id)?;
-            Ok(format!("job {id}: {state}"))
+            let id = parse_id(args)?;
+            client::cancel(server, id).map(|state| format!("job {id}: {state}"))
         }
-        "traces" => {
-            let chrome = rest.iter().any(|a| a == "--chrome");
-            let id = rest.iter().find(|a| !a.starts_with("--"));
-            match id {
-                Some(id) => Ok(client::trace(server, id, chrome)?.to_string_compact()),
-                None if chrome => Err("traces --chrome wants a trace id".to_string()),
-                None => Ok(client::traces(server)?.to_string_compact()),
+        "traces" => match args.positional(0) {
+            Some(id) => client::trace(server, id, args.chrome).map(|doc| doc.to_string_compact()),
+            None if args.chrome => {
+                return Err(Failure::Usage("traces --chrome wants a trace id".into()))
             }
-        }
-        "metrics" => Ok(client::metrics(server)?.trim_end().to_string()),
-        "drain" => {
-            client::drain(server)?;
-            Ok("draining".to_string())
-        }
-        other => Err(format!("unknown command {other:?}")),
-    }
+            None => client::traces(server).map(|doc| doc.to_string_compact()),
+        },
+        "metrics" => client::metrics(server).map(|body| body.trim_end().to_string()),
+        // The one command left in `COMMANDS`.
+        _ => client::drain(server).map(|()| "draining".to_string()),
+    };
+    out.map_err(Failure::Io)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut server = None;
-    let mut rest = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--server" => match it.next() {
-                Some(url) => server = Some(url),
-                None => {
-                    usage();
-                    return usage_error("--server wants a URL");
-                }
-            },
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::from(mlpsim_experiments::cli::EXIT_USAGE);
-            }
-            _ => rest.push(arg),
-        }
-    }
-    let Some(server) = server else {
-        usage();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (command, args) = match parse_subcommand(COMMANDS, &argv) {
+        Ok(parsed) => parsed,
+        Err(msg) => return usage_error(&msg),
+    };
+    let Some(server) = args.server.as_deref() else {
         return usage_error("missing --server http://HOST:PORT");
     };
-    let Some((command, rest)) = rest.split_first() else {
-        usage();
-        return usage_error("missing command");
-    };
-    match run(&server, command, rest) {
+    match run(server, command.name, &args) {
         Ok(output) => {
             // Reports carry their own trailing newline; `result` output
             // must stay byte-identical to the `mlpsim` CLI's.
@@ -181,10 +171,7 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        Err(e) if e.starts_with("unknown command") || e.contains("wants") => {
-            usage();
-            usage_error(&e)
-        }
-        Err(e) => io_error(&e),
+        Err(Failure::Usage(e)) => usage_error(&e),
+        Err(Failure::Io(e)) => io_error(&e),
     }
 }

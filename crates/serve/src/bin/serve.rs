@@ -10,7 +10,7 @@
 //! SIGTERM/SIGINT trigger a graceful drain: stop admitting, finish the
 //! in-flight job, leave queued jobs journaled for the next boot.
 
-use mlpsim_experiments::cli::{io_error, usage_error, EXIT_USAGE};
+use mlpsim_experiments::cli::{io_error, parse_command, usage_error, Command, Flag};
 use mlpsim_serve::{Server, ServerConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -42,61 +42,40 @@ fn install_signal_handlers() {
 #[cfg(not(unix))]
 fn install_signal_handlers() {}
 
-fn parse_config(args: &[String]) -> Result<ServerConfig, String> {
-    let mut cfg = ServerConfig::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} wants {what}"))
-        };
-        match flag.as_str() {
-            "--addr" => cfg.addr = value("HOST:PORT")?,
-            "--data-dir" => cfg.data_dir = PathBuf::from(value("a directory")?),
-            "--queue" => {
-                cfg.queue_capacity = value("a queue length")?
-                    .parse()
-                    .map_err(|_| "--queue wants a non-negative integer".to_string())?;
-            }
-            "--retry-after" => {
-                cfg.retry_after_secs = value("seconds")?
-                    .parse()
-                    .map_err(|_| "--retry-after wants a non-negative integer".to_string())?;
-            }
-            "--read-timeout-ms" => {
-                cfg.read_timeout_ms = value("milliseconds")?
-                    .parse()
-                    .map_err(|_| "--read-timeout-ms wants a positive integer".to_string())?;
-            }
-            "--help" | "-h" => {
-                return Err(String::new()); // caller prints usage
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    Ok(cfg)
-}
+/// `mlpsim-serve`'s command line.
+const COMMAND: Command = Command {
+    program: "",
+    name: "mlpsim-serve",
+    flags: &[
+        Flag::Addr,
+        Flag::DataDir,
+        Flag::Queue,
+        Flag::RetryAfter,
+        Flag::ReadTimeoutMs,
+    ],
+    positional: &[],
+};
 
-fn usage() {
-    eprintln!(
-        "usage: mlpsim-serve [--addr HOST:PORT] [--data-dir DIR] [--queue N] \
-         [--retry-after SECS] [--read-timeout-ms MS]"
-    );
+fn parse_config(argv: &[String]) -> Result<ServerConfig, String> {
+    let args = parse_command(&COMMAND, argv)?;
+    let mut cfg = ServerConfig::default();
+    if let Some(addr) = args.addr {
+        cfg.addr = addr;
+    }
+    if let Some(dir) = args.data_dir {
+        cfg.data_dir = PathBuf::from(dir);
+    }
+    cfg.queue_capacity = args.queue.unwrap_or(cfg.queue_capacity);
+    cfg.retry_after_secs = args.retry_after.unwrap_or(cfg.retry_after_secs);
+    cfg.read_timeout_ms = args.read_timeout_ms.unwrap_or(cfg.read_timeout_ms);
+    Ok(cfg)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cfg = match parse_config(&args) {
         Ok(cfg) => cfg,
-        Err(msg) if msg.is_empty() => {
-            usage();
-            return ExitCode::from(EXIT_USAGE);
-        }
-        Err(msg) => {
-            usage();
-            return usage_error(&msg);
-        }
+        Err(msg) => return usage_error(&msg),
     };
     install_signal_handlers();
     let server = match Server::start(cfg) {

@@ -5,12 +5,13 @@
 //! workspace builds offline with vendored deps only. Deliberately small:
 //! one request per connection (`Connection: close`), `Content-Length`
 //! bodies only on requests, responses either sized or chunked. Every
-//! accepted socket carries a read timeout — lint rule D6 enforces that a
+//! accepted socket carries a read timeout: [`accept`] is the only place
+//! that may call `TcpListener::accept` (rule D6, via `clippy.toml`), so a
 //! blocking read on the accept path cannot hang the server on a stalled
 //! client.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 /// Upper bound on request bodies (a job spec is well under 1 KiB; a
@@ -233,19 +234,28 @@ impl<'a> ChunkedWriter<'a> {
     }
 }
 
-/// Arm the D6-mandated read timeout on an accepted socket.
+/// Accepts one connection with its read timeout armed: the workspace's
+/// one sanctioned call of `TcpListener::accept` (rule D6; `clippy.toml`
+/// disallows the method everywhere else), so no accepted socket can block
+/// a server thread forever on a stalled client.
 ///
 /// # Errors
 ///
-/// Propagates `setsockopt` failures.
-pub fn arm_read_timeout(stream: &TcpStream, millis: u64) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(millis.max(1))))
+/// Propagates `accept` and `setsockopt` failures (`WouldBlock` on a
+/// non-blocking listener with nothing pending).
+pub fn accept(listener: &TcpListener, read_timeout_ms: u64) -> io::Result<TcpStream> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D6: the read timeout is armed below"
+    )]
+    let (stream, _peer) = listener.accept()?;
+    stream.set_read_timeout(Some(Duration::from_millis(read_timeout_ms.max(1))))?;
+    Ok(stream)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
 
     fn roundtrip(raw: &[u8]) -> Result<Request, HttpError> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -255,8 +265,7 @@ mod tests {
             let mut s = TcpStream::connect(addr).unwrap();
             s.write_all(&raw).unwrap();
         });
-        let (mut stream, _) = listener.accept().unwrap();
-        arm_read_timeout(&stream, 2_000).unwrap();
+        let mut stream = accept(&listener, 2_000).unwrap();
         let req = read_request(&mut stream);
         client.join().unwrap();
         req
@@ -311,12 +320,11 @@ mod tests {
             s.write_all(b"POST /jobs HTTP/1.1\r\nContent-Le").unwrap();
             std::thread::sleep(Duration::from_millis(300));
         });
-        let (mut stream, _) = listener.accept().unwrap();
-        arm_read_timeout(&stream, 50).unwrap();
-        let started = std::time::Instant::now();
+        let mut stream = accept(&listener, 50).unwrap();
+        let started = crate::host_ns();
         let err = read_request(&mut stream);
         assert!(matches!(err, Err(HttpError::Io(_))), "{err:?}");
-        assert!(started.elapsed() < Duration::from_secs(2));
+        assert!(crate::host_ns() - started < 2_000_000_000);
         client.join().unwrap();
     }
 }

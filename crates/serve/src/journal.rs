@@ -257,19 +257,13 @@ impl Journal {
         let Some(ctx) = trace else {
             return self.append(op);
         };
-        let t0 = mlpsim_telemetry::prof::now_ns();
+        let t0 = crate::host_ns();
         let out = self.append(op);
         let mut tags = vec![("op".to_string(), op.name().to_string())];
         if out.is_err() {
             tags.push(("failed".to_string(), "true".to_string()));
         }
-        ctx.record_span(
-            "journal_append",
-            ctx.parent,
-            t0,
-            mlpsim_telemetry::prof::now_ns(),
-            tags,
-        );
+        ctx.record_span("journal_append", ctx.parent, t0, crate::host_ns(), tags);
         out
     }
 
@@ -342,7 +336,7 @@ impl Journal {
 /// Fold one op into the job list (last op per id wins).
 fn apply_op(jobs: &mut Vec<RecoveredJob>, op: JournalOp, line_no: usize) -> Result<(), String> {
     let id = op.id();
-    match op {
+    let status = match op {
         JournalOp::Submit { spec, .. } => {
             if jobs.iter().any(|j| j.id == id) {
                 return Err(format!("line {line_no}: duplicate submit for job {id}"));
@@ -352,22 +346,18 @@ fn apply_op(jobs: &mut Vec<RecoveredJob>, op: JournalOp, line_no: usize) -> Resu
                 spec,
                 status: JobStatus::Queued,
             });
-            Ok(())
+            return Ok(());
         }
-        other => {
-            let Some(job) = jobs.iter_mut().find(|j| j.id == id) else {
-                return Err(format!("line {line_no}: op for job {id} before its submit"));
-            };
-            job.status = match other {
-                JournalOp::Submit { .. } => unreachable!("handled above"),
-                JournalOp::Start { .. } => JobStatus::Running,
-                JournalOp::Done { .. } => JobStatus::Done,
-                JournalOp::Cancelled { .. } => JobStatus::Cancelled,
-                JournalOp::Failed { error, .. } => JobStatus::Failed(error),
-            };
-            Ok(())
-        }
-    }
+        JournalOp::Start { .. } => JobStatus::Running,
+        JournalOp::Done { .. } => JobStatus::Done,
+        JournalOp::Cancelled { .. } => JobStatus::Cancelled,
+        JournalOp::Failed { error, .. } => JobStatus::Failed(error),
+    };
+    let Some(job) = jobs.iter_mut().find(|j| j.id == id) else {
+        return Err(format!("line {line_no}: op for job {id} before its submit"));
+    };
+    job.status = status;
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,4 +1,16 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::panic,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::print_stderr
+    )
+)]
 
 //! `mlpsim-serve`: the simulator as a long-running service, with zero
 //! dependencies beyond the workspace.
@@ -8,7 +20,7 @@
 //! live, cancelled, and — crucially — survive the server being killed:
 //!
 //! - [`http`] — hand-rolled HTTP/1.1 over `std::net` (requests,
-//!   responses, chunked streaming; read timeouts per lint rule D6).
+//!   responses, chunked streaming; read timeouts per rule D6).
 //! - [`journal`] — the append-only NDJSON write-ahead journal. Every
 //!   queue transition hits disk before it takes effect, so `kill -9` at
 //!   any instant loses at most one torn trailing line; recovery
@@ -44,3 +56,14 @@ pub mod state;
 pub use journal::{JobStatus, Journal, JournalOp, Recovered};
 pub use server::{Server, ServerConfig};
 pub use state::{State, SubmitError};
+
+/// Host time in nanoseconds for spans, service metrics and log
+/// timestamps: the crate's one call of [`mlpsim_telemetry::prof::now_ns`].
+/// Nothing in this crate builds an `Event` or a `SimResult` from it.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "D9: the service measures host time for spans, metrics and logs"
+)]
+pub(crate) fn host_ns() -> u64 {
+    mlpsim_telemetry::prof::now_ns()
+}

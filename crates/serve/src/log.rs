@@ -2,8 +2,8 @@
 //!
 //! Every line the server writes to stderr goes through this module, so
 //! each one is machine-parseable and carries the trace id of the request
-//! it belongs to (lint rule D11 enforces this: no bare `eprintln!` in the
-//! serve request path outside this file). Two shapes:
+//! it belongs to (rule D11: the crate denies `clippy::print_stderr`, and
+//! the private `emit` below holds its one `#[expect]`). Two shapes:
 //!
 //! - [`access`]: one line per completed request *or* job — `kind:
 //!   "access"`, the trace id, request name, status, duration, and
@@ -13,18 +13,17 @@
 //!   accept errors, recovery notes) — `kind: "server"`, an event tag,
 //!   the message, and the trace id when one is in scope.
 //!
-//! Timestamps are [`prof::now_ns`] readings — the same timebase the spans
+//! Timestamps are [`mlpsim_telemetry::prof::now_ns`] readings — the same timebase the spans
 //! in `/debug/traces` use, so a log line correlates with its trace by
 //! simple subtraction.
 
-use mlpsim_telemetry::prof;
 use mlpsim_telemetry::Json;
 
 /// Emit one access-log line: a completed HTTP exchange or a finished job.
 /// `extra` carries numeric phase durations (e.g. `("queue_wait_ms", 12.0)`).
 pub fn access(trace_id: &str, name: &str, status: u16, dur_us: u64, extra: &[(&str, f64)]) {
     let mut pairs: Vec<(String, Json)> = vec![
-        ("ts_ns".into(), Json::Num(prof::now_ns() as f64)),
+        ("ts_ns".into(), Json::Num(crate::host_ns() as f64)),
         ("kind".into(), Json::Str("access".into())),
         ("trace_id".into(), Json::Str(trace_id.to_string())),
         ("req".into(), Json::Str(name.to_string())),
@@ -42,7 +41,7 @@ pub fn access(trace_id: &str, name: &str, status: u16, dur_us: u64, extra: &[(&s
 /// `msg` the human detail, `trace_id` the owning trace when one exists.
 pub fn server_event(trace_id: Option<&str>, event: &str, msg: &str) {
     let mut pairs: Vec<(String, Json)> = vec![
-        ("ts_ns".into(), Json::Num(prof::now_ns() as f64)),
+        ("ts_ns".into(), Json::Num(crate::host_ns() as f64)),
         ("kind".into(), Json::Str("server".into())),
         ("event".into(), Json::Str(event.to_string())),
         ("msg".into(), Json::Str(msg.to_string())),
@@ -54,6 +53,10 @@ pub fn server_event(trace_id: Option<&str>, event: &str, msg: &str) {
 }
 
 /// The single stderr write site for the serve tier.
+#[expect(
+    clippy::print_stderr,
+    reason = "D11: the one structured-log write site"
+)]
 fn emit(doc: &Json) {
     eprintln!("{}", doc.to_string_compact());
 }

@@ -29,16 +29,16 @@ use crate::state::{EventLog, LogSink, State, SubmitError};
 use mlpsim_exec::CancelToken;
 use mlpsim_experiments::jobspec::{prune_margin_from_json, JobSpec};
 use mlpsim_experiments::CellSpanSink;
-use mlpsim_telemetry::prof;
 use mlpsim_telemetry::trace::{self, TraceCtx};
 use mlpsim_telemetry::{Json, SinkHandle};
 use std::io;
 use std::net::{TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Everything the server needs to start.
 #[derive(Clone, Debug)]
@@ -158,8 +158,8 @@ impl Server {
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
+            match http::accept(&self.listener, self.cfg.read_timeout_ms) {
+                Ok(stream) => {
                     let state = Arc::clone(&self.state);
                     let shutdown = Arc::clone(&self.shutdown);
                     let cfg = self.cfg.clone();
@@ -206,11 +206,11 @@ fn execute(
         let token = token.clone();
         let log = Arc::clone(log);
         thread::spawn(move || {
-            let deadline = Instant::now() + Duration::from_millis(ms);
+            let deadline = crate::host_ns().saturating_add(ms.saturating_mul(1_000_000));
             // Poll in short chunks so a finished job releases the thread
             // promptly (the log closes when the job reaches a terminal
             // state).
-            while Instant::now() < deadline {
+            while crate::host_ns() < deadline {
                 if log.is_done() {
                     return;
                 }
@@ -223,7 +223,7 @@ fn execute(
     // The `run` span's id is allocated up front so cell spans can parent
     // under it while it is still open; the span itself is recorded once
     // the sweep returns.
-    let run_span = trace.map(|ctx| (ctx.clone(), trace::next_span_id(), prof::now_ns()));
+    let run_span = trace.map(|ctx| (ctx.clone(), trace::next_span_id(), crate::host_ns()));
     let cell_spans = run_span.as_ref().map(|(ctx, run_id, _)| {
         let ctx = ctx.clone();
         let run_id = *run_id;
@@ -239,7 +239,7 @@ fn execute(
     });
     let result = spec.run_traced(telemetry, token, cell_spans);
     if let Some((ctx, run_id, t0)) = run_span {
-        ctx.record_span_with_id(run_id, "run", ctx.parent, t0, prof::now_ns(), Vec::new());
+        ctx.record_span_with_id(run_id, "run", ctx.parent, t0, crate::host_ns(), Vec::new());
     }
     match result {
         // A fired token always reports Cancelled, even if the sweep
@@ -250,33 +250,57 @@ fn execute(
     }
 }
 
-/// One request per connection. Every request gets a [`TraceCtx`] —
-/// continuing the caller's trace when a W3C `traceparent` header came in,
-/// fresh otherwise — whose root span covers the whole exchange. The
-/// handler finishes the trace unless a submitted job adopted it (then the
-/// trace runs until the job is terminal); either way one structured
-/// access-log line goes to stderr here.
+/// The panic boundary for one connection (rule D8): a panic anywhere in
+/// `handle` becomes a 500 on the connection and a `handler_panicked` log
+/// line, instead of a silently dropped socket. The crate denies the panic
+/// sinks clippy can see; this catches the rest (indexing in a dependency,
+/// an overflow, a debug-build lock-order check).
+fn panic_boundary(stream: &mut TcpStream, handle: impl FnOnce(&mut TcpStream)) {
+    if panic::catch_unwind(AssertUnwindSafe(|| handle(stream))).is_err() {
+        log::server_event(None, "handler_panicked", "a request handler panicked");
+        let _ = respond_json(
+            stream,
+            500,
+            &err_json("internal error: the handler panicked"),
+        );
+    }
+}
+
+/// One request per connection, behind the panic boundary.
 fn handle_connection(
     mut stream: TcpStream,
     state: &Arc<State>,
     shutdown: &Arc<AtomicBool>,
     cfg: &ServerConfig,
 ) {
-    if http::arm_read_timeout(&stream, cfg.read_timeout_ms).is_err() {
-        return;
-    }
+    panic_boundary(&mut stream, |stream| {
+        serve_request(stream, state, shutdown, cfg);
+    });
+}
+
+/// Answers the connection's one request. Every request gets a [`TraceCtx`] —
+/// continuing the caller's trace when a W3C `traceparent` header came in,
+/// fresh otherwise — whose root span covers the whole exchange. The
+/// handler finishes the trace unless a submitted job adopted it (then the
+/// trace runs until the job is terminal); either way one structured
+/// access-log line goes to stderr here.
+fn serve_request(
+    stream: &mut TcpStream,
+    state: &Arc<State>,
+    shutdown: &Arc<AtomicBool>,
+    cfg: &ServerConfig,
+) {
     state.count("http_requests_total");
-    let t0 = Instant::now();
-    let t0_ns = prof::now_ns();
-    let req = match http::read_request(&mut stream) {
+    let t0_ns = crate::host_ns();
+    let req = match http::read_request(stream) {
         Ok(req) => req,
         Err(HttpError::TooLarge) => {
-            let _ = respond_json(&mut stream, 413, &err_json("request body too large"));
+            let _ = respond_json(stream, 413, &err_json("request body too large"));
             finish_rejected(state, t0_ns, 413);
             return;
         }
         Err(HttpError::Malformed(m)) => {
-            let _ = respond_json(&mut stream, 400, &err_json(&m));
+            let _ = respond_json(stream, 400, &err_json(&m));
             finish_rejected(state, t0_ns, 400);
             return;
         }
@@ -287,10 +311,16 @@ fn handle_connection(
     let ctx = TraceCtx::begin_at(&name, inherited, t0_ns);
     // The socket read + header/body parse happened before the context
     // could exist; record it retroactively as the first child span.
-    ctx.record_span("parse", ctx.root_span(), t0_ns, prof::now_ns(), Vec::new());
+    ctx.record_span(
+        "parse",
+        ctx.root_span(),
+        t0_ns,
+        crate::host_ns(),
+        Vec::new(),
+    );
     // A write error means the client went away mid-response: 499.
-    let status = route(&mut stream, &req, state, &ctx, shutdown, cfg).unwrap_or(499);
-    let dur_us = t0.elapsed().as_micros() as u64;
+    let status = route(stream, &req, state, &ctx, shutdown, cfg).unwrap_or(499);
+    let dur_us = crate::host_ns().saturating_sub(t0_ns) / 1000;
     state.observe_request(dur_us);
     if ctx.adopted() {
         // A job owns the trace now; log the HTTP exchange itself here
@@ -306,7 +336,13 @@ fn handle_connection(
 /// request line (oversized or malformed): pinned, named by the failure.
 fn finish_rejected(state: &Arc<State>, t0_ns: u64, status: u16) {
     let ctx = TraceCtx::begin_at("(unparseable request)", None, t0_ns);
-    ctx.record_span("parse", ctx.root_span(), t0_ns, prof::now_ns(), Vec::new());
+    ctx.record_span(
+        "parse",
+        ctx.root_span(),
+        t0_ns,
+        crate::host_ns(),
+        Vec::new(),
+    );
     ctx.set_status(status);
     state.complete_trace(&ctx);
 }
@@ -399,12 +435,10 @@ fn route(
                     return respond_json(stream, 400, &err_json(&e));
                 }
             };
-            let t0 = Instant::now();
+            let t0 = crate::host_ns();
             // The scoring runs on its own thread so a model bug panics
             // that thread, not this handler: the `Err` from `join()`
-            // becomes a 500 instead of a dead connection (lint rule D8
-            // treats the spawned closure as a panic-isolation boundary
-            // for the same reason).
+            // becomes a 500 that names the estimate.
             let doc = match thread::spawn(move || spec.estimate_doc(margin)).join() {
                 Ok(doc) => doc,
                 Err(_) => {
@@ -416,7 +450,7 @@ fn route(
                     );
                 }
             };
-            state.observe_estimate(t0.elapsed().as_micros() as u64);
+            state.observe_estimate(crate::host_ns().saturating_sub(t0) / 1000);
             state.count("estimates_total");
             let summary = doc.get("summary");
             if let Some(cells) = summary.and_then(|s| s.get("cells")).and_then(Json::as_u64) {
@@ -535,9 +569,9 @@ fn stream_events(
                 payload.push_str(line);
                 payload.push('\n');
             }
-            let t0 = prof::now_ns();
+            let t0 = crate::host_ns();
             let wrote = w.chunk(payload.as_bytes());
-            state.observe_stream_write((prof::now_ns() - t0) / 1000);
+            state.observe_stream_write((crate::host_ns() - t0) / 1000);
             wrote?;
         }
         if done && lines.is_empty() {
@@ -578,4 +612,32 @@ fn respond_json(stream: &mut TcpStream, status: u16, doc: &Json) -> io::Result<u
     body.push('\n');
     http::write_response(stream, status, "application/json", &[], body.as_bytes())?;
     Ok(status)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+
+    #[test]
+    fn a_panic_below_the_boundary_answers_500() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+            let mut reply = String::new();
+            s.read_to_string(&mut reply).unwrap();
+            reply
+        });
+        let mut stream = http::accept(&listener, 2_000).unwrap();
+        panic_boundary(&mut stream, |stream| {
+            let _req = http::read_request(stream).unwrap();
+            panic!("planted handler fault");
+        });
+        drop(stream);
+        let reply = client.join().unwrap();
+        assert!(reply.starts_with("HTTP/1.1 500"), "{reply}");
+        assert!(reply.contains("the handler panicked"), "{reply}");
+    }
 }

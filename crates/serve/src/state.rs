@@ -2,27 +2,123 @@
 //! per-job live event logs, and the metrics registry.
 //!
 //! Everything here is plain `Mutex`/`Condvar` coordination — no async
-//! runtime. Locks use `unwrap_or_else(PoisonError::into_inner)` so a
-//! panicked connection thread cannot wedge the whole server.
+//! runtime. Every lock goes through the private `lock` helper, which
+//! names the lock's `Level`: a thread takes locks in strictly increasing
+//! level order, so no two threads can deadlock on a pair (rule D10), and
+//! debug builds assert the order on every acquisition. A poisoned lock yields its
+//! guard, so a panicked connection thread cannot wedge the whole server.
 
 use crate::journal::{JobStatus, Journal, JournalOp, Recovered};
 use crate::log;
 use crate::metrics::{self, Histograms};
 use mlpsim_exec::CancelToken;
 use mlpsim_experiments::jobspec::JobSpec;
-use mlpsim_telemetry::prof;
 use mlpsim_telemetry::trace::{CompletedTrace, FlightRecorder, SpanGuard, TraceCtx};
 use mlpsim_telemetry::{Event, EventSink, Json, Registry};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Lock helper: a poisoned mutex yields its guard anyway (the protected
+/// The order in which a thread may take serve's locks: only a lock whose
+/// level is above every lock the thread already holds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Level {
+    /// `State::inner`: the job table and the admission queue.
+    Jobs,
+    /// `State::journal`, taken under `Jobs` to journal a transition.
+    Journal,
+    /// An [`EventLog`], closed under `Jobs` when its job ends.
+    Log,
+    /// `State::metrics`.
+    Metrics,
+    /// `State::hists`, read under `Metrics` to render `/metrics`.
+    Hists,
+}
+
+thread_local! {
+    /// Levels of the locks this thread holds (checked in debug builds).
+    static HELD: RefCell<Vec<Level>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Records a lock level as held by this thread until dropped.
+struct Held(Level);
+
+impl Held {
+    fn take(level: Level) -> Held {
+        if cfg!(debug_assertions) {
+            HELD.with_borrow_mut(|held| {
+                if let Some(&top) = held.iter().max() {
+                    assert!(
+                        level > top,
+                        "lock order: {level:?} taken while holding {top:?}"
+                    );
+                }
+                held.push(level);
+            });
+        }
+        Held(level)
+    }
+}
+
+impl Drop for Held {
+    fn drop(&mut self) {
+        let level = self.0;
+        if cfg!(debug_assertions) {
+            HELD.with_borrow_mut(|held| {
+                if let Some(i) = held.iter().rposition(|&l| l == level) {
+                    held.remove(i);
+                }
+            });
+        }
+    }
+}
+
+/// A locked mutex. Fields drop in order: the mutex unlocks, then its
+/// level is released.
+pub(crate) struct Guard<'a, T> {
+    guard: MutexGuard<'a, T>,
+    _held: Held,
+}
+
+impl<T> Deref for Guard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.guard
+    }
+}
+
+impl<T> DerefMut for Guard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.guard
+    }
+}
+
+impl<T> Guard<'_, T> {
+    /// Waits on `cond` with the lock released; its level stays held,
+    /// since the thread takes nothing else while it sleeps.
+    fn wait_timeout(self, cond: &Condvar, dur: Duration) -> Self {
+        let Guard { guard, _held } = self;
+        let (guard, _timeout) = cond
+            .wait_timeout(guard, dur)
+            .unwrap_or_else(PoisonError::into_inner);
+        Guard { guard, _held }
+    }
+}
+
+/// The one way serve takes a lock. The order check runs before blocking,
+/// so an out-of-order acquisition fails even when it would not deadlock
+/// this time. A poisoned mutex yields its guard anyway (the protected
 /// data is simple enough that every mutation is atomic with respect to a
 /// panic).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+pub(crate) fn lock<T>(m: &Mutex<T>, level: Level) -> Guard<'_, T> {
+    let held = Held::take(level);
+    Guard {
+        guard: m.lock().unwrap_or_else(PoisonError::into_inner),
+        _held: held,
+    }
 }
 
 /// A job's live telemetry stream: NDJSON lines appended by the executor,
@@ -50,19 +146,19 @@ impl EventLog {
     /// stream died with the previous process; results persist on disk).
     pub fn finished() -> Arc<EventLog> {
         let log = EventLog::default();
-        lock(&log.inner).done = true;
+        lock(&log.inner, Level::Log).done = true;
         Arc::new(log)
     }
 
     /// Append one NDJSON line and wake waiting readers.
     pub fn push(&self, line: String) {
-        lock(&self.inner).lines.push(line);
+        lock(&self.inner, Level::Log).lines.push(line);
         self.cond.notify_all();
     }
 
     /// Mark the stream complete and wake waiting readers.
     pub fn close(&self) {
-        lock(&self.inner).done = true;
+        lock(&self.inner, Level::Log).done = true;
         self.cond.notify_all();
     }
 
@@ -70,28 +166,24 @@ impl EventLog {
     /// stream finishes. Returns `(new_lines, done)`; when `done` is true
     /// and the lines are empty the reader has drained everything.
     pub fn wait_from(&self, cursor: usize) -> (Vec<String>, bool) {
-        let mut inner = lock(&self.inner);
+        let mut inner = lock(&self.inner, Level::Log);
         loop {
             if inner.lines.len() > cursor || inner.done {
                 let fresh = inner.lines.get(cursor..).unwrap_or(&[]).to_vec();
                 return (fresh, inner.done);
             }
-            let (next, _timeout) = self
-                .cond
-                .wait_timeout(inner, Duration::from_millis(200))
-                .unwrap_or_else(PoisonError::into_inner);
-            inner = next;
+            inner = inner.wait_timeout(&self.cond, Duration::from_millis(200));
         }
     }
 
     /// Whether the stream has finished (non-blocking; watchdogs poll it).
     pub fn is_done(&self) -> bool {
-        lock(&self.inner).done
+        lock(&self.inner, Level::Log).done
     }
 
     /// Total lines appended so far.
     pub fn len(&self) -> usize {
-        lock(&self.inner).lines.len()
+        lock(&self.inner, Level::Log).lines.len()
     }
 
     /// Whether no lines have been appended yet.
@@ -122,13 +214,12 @@ pub struct Job {
     pub log: Arc<EventLog>,
     /// Cooperative cancellation token the executor checks per cell.
     pub cancel: CancelToken,
-    /// When the job entered the queue (recovery counts as re-admission).
-    pub submitted_at: Instant,
-    /// [`prof::now_ns`] reading at admission — the `queue_wait` span's
-    /// start on the job's trace.
+    /// Host time ([`mlpsim_telemetry::prof::now_ns`] timebase) when the
+    /// job entered the queue — recovery counts as re-admission. It is the
+    /// `queue_wait` span's start on the job's trace.
     pub submitted_ns: u64,
-    /// When the scheduler took it, once running.
-    pub started_at: Option<Instant>,
+    /// Host time when the scheduler took it, once running.
+    pub started_ns: Option<u64>,
     /// The request trace that admitted this job, root-parented; the job's
     /// lifecycle phases (queue wait, run, terminal journal append) land
     /// on it and it completes when the job does. `None` for recovered
@@ -210,9 +301,8 @@ impl State {
                         EventLog::new()
                     },
                     cancel: CancelToken::new(),
-                    submitted_at: Instant::now(),
-                    submitted_ns: prof::now_ns(),
-                    started_at: None,
+                    submitted_ns: crate::host_ns(),
+                    started_ns: None,
                     trace: None,
                 },
             );
@@ -256,7 +346,7 @@ impl State {
     /// [`SubmitError`] when draining, at capacity, or unjournalable.
     pub fn submit(&self, spec: JobSpec, admission: Option<SpanGuard>) -> Result<u64, SubmitError> {
         let trace = admission.as_ref().map(SpanGuard::ctx);
-        let mut inner = lock(&self.inner);
+        let mut inner = lock(&self.inner, Level::Jobs);
         if inner.draining {
             self.count("jobs_rejected_total");
             return Err(SubmitError::Draining);
@@ -266,7 +356,7 @@ impl State {
             return Err(SubmitError::Full);
         }
         let id = inner.next_id;
-        lock(&self.journal)
+        lock(&self.journal, Level::Journal)
             .append_traced(
                 &JournalOp::Submit {
                     id,
@@ -291,9 +381,8 @@ impl State {
                 status: JobStatus::Queued,
                 log: EventLog::new(),
                 cancel: CancelToken::new(),
-                submitted_at: Instant::now(),
-                submitted_ns: prof::now_ns(),
-                started_at: None,
+                submitted_ns: crate::host_ns(),
+                started_ns: None,
                 trace: adopted,
             },
         );
@@ -315,7 +404,7 @@ impl State {
     pub fn take_next(
         &self,
     ) -> Option<(u64, JobSpec, Arc<EventLog>, CancelToken, Option<TraceCtx>)> {
-        let mut inner = lock(&self.inner);
+        let mut inner = lock(&self.inner, Level::Jobs);
         loop {
             if inner.draining {
                 return None;
@@ -325,9 +414,9 @@ impl State {
                     continue; // cancelled-while-queued already removed it
                 };
                 let trace = job.trace.clone();
-                let taken_ns = prof::now_ns();
-                let start =
-                    lock(&self.journal).append_traced(&JournalOp::Start { id }, trace.as_ref());
+                let taken_ns = crate::host_ns();
+                let start = lock(&self.journal, Level::Journal)
+                    .append_traced(&JournalOp::Start { id }, trace.as_ref());
                 if let Err(e) = start {
                     job.status = JobStatus::Failed(format!("journal start failed: {e}"));
                     job.log.close();
@@ -338,8 +427,9 @@ impl State {
                     continue;
                 }
                 job.status = JobStatus::Running;
-                job.started_at = Some(Instant::now());
-                let waited_ms = job.submitted_at.elapsed().as_millis() as u64;
+                let started_ns = crate::host_ns();
+                job.started_ns = Some(started_ns);
+                let waited_ms = started_ns.saturating_sub(job.submitted_ns) / 1_000_000;
                 if let Some(ctx) = &trace {
                     ctx.record_span(
                         "queue_wait",
@@ -357,18 +447,14 @@ impl State {
                     trace,
                 );
                 drop(inner);
-                let mut hists = lock(&self.hists);
+                let mut hists = lock(&self.hists, Level::Hists);
                 hists.job_queue_wait_ms.record(waited_ms);
                 hists.request_phase_queue_wait_ms.record(waited_ms);
                 drop(hists);
                 self.refresh_queue_gauge();
                 return Some(out);
             }
-            let (next, _timeout) = self
-                .sched_cond
-                .wait_timeout(inner, Duration::from_millis(100))
-                .unwrap_or_else(PoisonError::into_inner);
-            inner = next;
+            inner = inner.wait_timeout(&self.sched_cond, Duration::from_millis(100));
         }
     }
 
@@ -424,11 +510,11 @@ impl State {
             JobStatus::Cancelled => 499,
             _ => 500,
         };
-        let trace = lock(&self.inner)
+        let trace = lock(&self.inner, Level::Jobs)
             .jobs
             .get(&id)
             .and_then(|j| j.trace.clone());
-        if let Err(e) = lock(&self.journal).append_traced(&op, trace.as_ref()) {
+        if let Err(e) = lock(&self.journal, Level::Journal).append_traced(&op, trace.as_ref()) {
             // The in-memory state still advances; the next boot reruns it.
             log::server_event(
                 trace.as_ref().map(TraceCtx::trace_id_hex).as_deref(),
@@ -436,17 +522,18 @@ impl State {
                 &format!("journal append for job {id} failed: {e}"),
             );
         }
-        let mut inner = lock(&self.inner);
+        let mut inner = lock(&self.inner, Level::Jobs);
         let mut finished_trace = None;
         let ran_ms = inner.jobs.get_mut(&id).and_then(|job| {
             job.status = status;
             job.log.close();
             finished_trace = job.trace.take();
-            job.started_at.map(|t| t.elapsed().as_millis() as u64)
+            job.started_ns
+                .map(|t| crate::host_ns().saturating_sub(t) / 1_000_000)
         });
         drop(inner);
         if let Some(ms) = ran_ms {
-            let mut hists = lock(&self.hists);
+            let mut hists = lock(&self.hists, Level::Hists);
             hists.job_wall_time_ms.record(ms);
             hists.request_phase_run_ms.record(ms);
         }
@@ -462,13 +549,13 @@ impl State {
     /// Idempotent: terminal jobs report their status unchanged. Returns
     /// `None` for unknown ids.
     pub fn cancel(&self, id: u64) -> Option<JobStatus> {
-        let mut inner = lock(&self.inner);
+        let mut inner = lock(&self.inner, Level::Jobs);
         let job = inner.jobs.get(&id)?;
         match job.status {
             JobStatus::Queued => {
                 let trace = job.trace.clone();
-                if let Err(e) =
-                    lock(&self.journal).append_traced(&JournalOp::Cancelled { id }, trace.as_ref())
+                if let Err(e) = lock(&self.journal, Level::Journal)
+                    .append_traced(&JournalOp::Cancelled { id }, trace.as_ref())
                 {
                     log::server_event(
                         trace.as_ref().map(TraceCtx::trace_id_hex).as_deref(),
@@ -506,61 +593,70 @@ impl State {
     /// Begin draining: refuse new submissions, stop the scheduler after
     /// the in-flight job (queued jobs remain journaled for the next boot).
     pub fn begin_drain(&self) {
-        lock(&self.inner).draining = true;
+        lock(&self.inner, Level::Jobs).draining = true;
         self.sched_cond.notify_all();
     }
 
     /// Whether draining has begun.
     pub fn draining(&self) -> bool {
-        lock(&self.inner).draining
+        lock(&self.inner, Level::Jobs).draining
     }
 
     /// The job's live event log, if the id exists.
     pub fn event_log(&self, id: u64) -> Option<Arc<EventLog>> {
-        lock(&self.inner).jobs.get(&id).map(|j| Arc::clone(&j.log))
+        lock(&self.inner, Level::Jobs)
+            .jobs
+            .get(&id)
+            .map(|j| Arc::clone(&j.log))
     }
 
     /// Status document for one job.
     pub fn status_json(&self, id: u64) -> Option<Json> {
-        let inner = lock(&self.inner);
+        let inner = lock(&self.inner, Level::Jobs);
         inner.jobs.get(&id).map(|job| job_json(id, job))
     }
 
     /// Status documents for every job, id order.
     pub fn list_json(&self) -> Json {
-        let inner = lock(&self.inner);
+        let inner = lock(&self.inner, Level::Jobs);
         Json::Arr(inner.jobs.iter().map(|(id, j)| job_json(*id, j)).collect())
     }
 
     /// Bump a counter.
     pub fn count(&self, name: &str) {
-        lock(&self.metrics).incr(name, 1);
+        lock(&self.metrics, Level::Metrics).incr(name, 1);
     }
 
     /// Bump a counter by `n` (planner cell totals arrive in batches).
     pub fn count_n(&self, name: &str, n: u64) {
-        lock(&self.metrics).incr(name, n);
+        lock(&self.metrics, Level::Metrics).incr(name, n);
     }
 
     /// Record one `/estimate` model evaluation's latency.
     pub fn observe_estimate(&self, micros: u64) {
-        lock(&self.hists).estimate_duration_us.record(micros);
+        lock(&self.hists, Level::Hists)
+            .estimate_duration_us
+            .record(micros);
     }
 
     /// Record one handled HTTP request's end-to-end latency.
     pub fn observe_request(&self, micros: u64) {
-        lock(&self.hists).http_request_duration_us.record(micros);
+        lock(&self.hists, Level::Hists)
+            .http_request_duration_us
+            .record(micros);
     }
 
     /// Record how many event lines one stream flush delivered — the
     /// reader's backlog at wake-up.
     pub fn observe_backlog(&self, lines: u64) {
-        lock(&self.hists).event_stream_backlog_lines.record(lines);
+        lock(&self.hists, Level::Hists)
+            .event_stream_backlog_lines
+            .record(lines);
     }
 
     /// Record how long one event-stream chunk write took.
     pub fn observe_stream_write(&self, micros: u64) {
-        lock(&self.hists)
+        lock(&self.hists, Level::Hists)
             .request_phase_stream_write_us
             .record(micros);
     }
@@ -626,8 +722,8 @@ impl State {
     }
 
     fn refresh_queue_gauge(&self) {
-        let depth = lock(&self.inner).queue.len() as f64;
-        lock(&self.metrics).set_gauge("queue_depth", depth);
+        let depth = lock(&self.inner, Level::Jobs).queue.len() as f64;
+        lock(&self.metrics, Level::Metrics).set_gauge("queue_depth", depth);
     }
 
     /// The `GET /metrics` body: Prometheus text exposition 0.0.4 —
@@ -635,8 +731,8 @@ impl State {
     /// the four operational histograms (see [`crate::metrics`]).
     pub fn metrics_text(&self) -> String {
         self.refresh_queue_gauge();
-        let m = lock(&self.metrics);
-        let h = lock(&self.hists);
+        let m = lock(&self.metrics, Level::Metrics);
+        let h = lock(&self.hists, Level::Hists);
         metrics::render(&m, &h)
     }
 }
@@ -662,6 +758,29 @@ fn job_json(id: u64, job: &Job) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn locks_taken_in_level_order_nest_and_release() {
+        let (jobs, journal, hists) = (Mutex::new(1), Mutex::new(2), Mutex::new(3));
+        {
+            let a = lock(&jobs, Level::Jobs);
+            let b = lock(&journal, Level::Journal);
+            drop(a);
+            let c = lock(&hists, Level::Hists);
+            assert_eq!(*b + *c, 5);
+        }
+        // Everything was released: the lowest level is takeable again.
+        assert_eq!(*lock(&jobs, Level::Jobs), 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lock order: Jobs taken while holding Hists")]
+    fn out_of_order_acquisition_panics_in_debug_builds() {
+        let (jobs, hists) = (Mutex::new(()), Mutex::new(()));
+        let _h = lock(&hists, Level::Hists);
+        let _j = lock(&jobs, Level::Jobs);
+    }
 
     fn state(capacity: usize) -> Arc<State> {
         let dir =

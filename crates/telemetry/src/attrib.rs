@@ -32,7 +32,7 @@ pub const COST_Q_BUCKETS: usize = 8;
 /// the set ("lru", "lin", "lin-leader", "sbar", ...).
 ///
 /// `BTreeMap` ordering (set, then cost_q, then policy) keeps every
-/// iteration deterministic — lint rule D1 territory.
+/// iteration deterministic — rule D1 territory.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct LedgerKey {
     /// L2 set index the missing line mapped to.

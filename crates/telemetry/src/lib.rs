@@ -13,9 +13,9 @@
 //!
 //! - **Compile-time** ([`Probe`]): the CPU pipeline (`System<P: Probe>`) is
 //!   generic over a probe. The default [`NoProbe`] has
-//!   `Probe::ENABLED == false`, so every `if P::ENABLED { probe.emit(..) }`
-//!   guard — including event construction — is dead code the optimizer
-//!   removes. `System::new` keeps its exact pre-telemetry signature via a
+//!   `Probe::ENABLED == false`, and `Probe::emit` takes a closure that it
+//!   runs only when the probe is on, so every `probe.emit(|| ..)` —
+//!   including event construction — is dead code the optimizer removes. `System::new` keeps its exact pre-telemetry signature via a
 //!   default type parameter.
 //! - **Runtime** ([`SinkHandle`]): subsystems living behind
 //!   `Box<dyn ReplacementEngine>` (and plain structs like `Mshr`) cannot be
@@ -55,7 +55,7 @@ pub mod traceevent;
 pub use attrib::{exact_share, LedgerKey, StallLedger};
 pub use event::Event;
 pub use json::Json;
-pub use probe::{NoProbe, Probe, SinkProbe};
+pub use probe::{Enabled, NoProbe, Probe, SinkProbe};
 pub use registry::Registry;
 pub use sink::{read_ndjson, EventSink, FanoutSink, NdjsonSink, SinkHandle, VecSink};
 pub use span::Span;

@@ -1,29 +1,29 @@
 //! The audited host clock shim.
 //!
-//! The only sanctioned wall-clock read in the core crates is [`now_ns`]
-//! below — lint rule D2 audits every other `Instant`/`SystemTime` mention
-//! in `cache`/`core`/`mem`/`cpu`/`exec`/`trace`/`telemetry`, and rule D9
-//! keeps values derived from it out of simulation results and event
-//! payloads. Host time is read here but never fed back into the
-//! simulation, which is what keeps determinism intact. Per-layer host
-//! timing of the simulator lives in `perfbench`'s traced run
-//! (`perfbench --trace 1`, DESIGN.md §13).
+//! The only sanctioned wall-clock read in the workspace is [`now_ns`]
+//! below: `clippy.toml` disallows `Instant`, `SystemTime` and their `now`
+//! everywhere else (rule D2), and disallows calling `now_ns` outside the
+//! span and service code that may hold host time (rule D9), so values
+//! derived from it stay out of simulation results and event payloads.
+//! Host time is read here but never fed back into the simulation, which is
+//! what keeps determinism intact. Per-layer host timing of the simulator
+//! lives in `perfbench`'s traced run (`perfbench --trace 1`, DESIGN.md
+//! §13).
 
 use std::sync::OnceLock;
-// lint: allow(D2, "prof clock shim: the audited wall-clock import (DESIGN.md §13)")
-use std::time::Instant;
-
-// lint: allow(D2, "prof clock shim epoch: compared only against itself, never fed into simulation")
-static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 /// The audited clock shim: nanoseconds since the first call in this
-/// process. Every wall-clock read in the core crates goes through here
-/// (lint rule D2 enforces it); the value is only ever subtracted from
-/// another `now_ns` reading, never mixed into simulated time.
+/// process. The value is only ever subtracted from another `now_ns`
+/// reading, never mixed into simulated time.
 #[inline]
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "D2: the one sanctioned wall-clock read; the epoch is compared only against itself"
+)]
 pub fn now_ns() -> u64 {
-    // lint: allow(D2, "prof clock shim: the one sanctioned Instant::now in core crates")
-    let epoch = EPOCH.get_or_init(Instant::now);
+    static EPOCH: OnceLock<std::time::Instant> = OnceLock::new();
+    let epoch = EPOCH.get_or_init(std::time::Instant::now);
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
@@ -32,6 +32,7 @@ mod tests {
     use super::now_ns;
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the shim's own test")]
     fn clock_shim_is_monotonic() {
         let a = now_ns();
         let b = now_ns();

@@ -16,15 +16,14 @@
 //! - **Span recording** ([`SpanGuard`], [`TraceCtx::record_span`]): RAII
 //!   guards for same-thread phases, explicit timestamped records for
 //!   cross-thread phases (queue wait, worker-pool cells). Timing uses
-//!   [`prof::now_ns`] exclusively, so lint rule D2 keeps its single-shim
+//!   [`prof::now_ns`] exclusively, so rule D2 keeps its single-shim
 //!   guarantee.
 //! - **The flight recorder** ([`FlightRecorder`]): a bounded ring of the
 //!   last N completed traces, with error/backpressure/cancel traces pinned
 //!   in a separate ring so a burst of healthy traffic cannot evict the
-//!   evidence of the one request that failed. Slots are guarded by
-//!   spin-CAS flags rather than OS mutexes: a writer claims its slot with
-//!   a `fetch_add` and exchanges one `Arc` pointer, so the publish path
-//!   never blocks and never allocates.
+//!   evidence of the one request that failed. A writer claims its slot with
+//!   a `fetch_add` and swaps one `Arc` pointer under the slot's mutex, so
+//!   the publish path never allocates.
 //!
 //! A completed trace renders as JSON for the `/debug/traces` endpoints and
 //! as a Chrome trace-event document (reusing [`crate::traceevent`]'s slice
@@ -37,17 +36,24 @@
 use crate::json::Json;
 use crate::prof;
 use crate::traceevent;
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The W3C `trace-flags` bit meaning "this trace is sampled".
 pub const FLAG_SAMPLED: u8 = 0x01;
 
-/// Lock helper for the span buffer: a poisoned mutex yields its guard
-/// (span pushes are single writes; no invariant spans a panic).
+/// Lock helper for the span buffer and the recorder slots: a poisoned
+/// mutex yields its guard (each critical section is a single write; no
+/// invariant spans a panic).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Host time for span bounds and ids. Spans and ids are host-side
+/// records; no `Event` or `SimResult` field is built from them.
+#[expect(clippy::disallowed_methods, reason = "D9: spans measure host time")]
+fn host_ns() -> u64 {
+    prof::now_ns()
 }
 
 // ---------------------------------------------------------------------------
@@ -70,8 +76,8 @@ static SEQ: AtomicU64 = AtomicU64::new(1);
 /// A fresh non-zero 64-bit span id.
 pub fn next_span_id() -> u64 {
     loop {
-        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-        let id = splitmix64(prof::now_ns() ^ splitmix64(seq));
+        let seq = SEQ.fetch_add(1, Ordering::SeqCst);
+        let id = splitmix64(host_ns() ^ splitmix64(seq));
         if id != 0 {
             return id;
         }
@@ -192,7 +198,7 @@ impl TraceCtx {
     /// otherwise fresh ids are drawn. The root span is recorded when the
     /// trace finishes.
     pub fn begin(name: &str, inherited: Option<(u128, u64, u8)>) -> TraceCtx {
-        Self::begin_at(name, inherited, prof::now_ns())
+        Self::begin_at(name, inherited, host_ns())
     }
 
     /// [`TraceCtx::begin`] with an explicit root start time — for callers
@@ -262,9 +268,7 @@ impl TraceCtx {
     /// Record the final status (HTTP status code, or the job-outcome
     /// mapping the serve tier uses).
     pub fn set_status(&self, status: u16) {
-        self.inner
-            .status
-            .store(u64::from(status), Ordering::Relaxed);
+        self.inner.status.store(u64::from(status), Ordering::SeqCst);
         if status >= 400 {
             self.pin();
         }
@@ -273,18 +277,18 @@ impl TraceCtx {
     /// Mark the trace for preferential retention (errors, 429s,
     /// deadline kills, cancellations).
     pub fn pin(&self) {
-        self.inner.pinned.store(true, Ordering::Relaxed);
+        self.inner.pinned.store(true, Ordering::SeqCst);
     }
 
     /// Hand completion duty to a longer-lived owner (a submitted job).
     /// The request handler checks [`TraceCtx::adopted`] before finishing.
     pub fn adopt(&self) {
-        self.inner.adopted.store(true, Ordering::Relaxed);
+        self.inner.adopted.store(true, Ordering::SeqCst);
     }
 
     /// Whether a longer-lived owner will finish this trace.
     pub fn adopted(&self) -> bool {
-        self.inner.adopted.load(Ordering::Relaxed)
+        self.inner.adopted.load(Ordering::SeqCst)
     }
 
     /// Start a child span under this handle; the span closes (and is
@@ -297,7 +301,7 @@ impl TraceCtx {
             },
             attach_to: self.parent,
             name: name.to_string(),
-            start_ns: prof::now_ns(),
+            start_ns: host_ns(),
             tags: Vec::new(),
         }
     }
@@ -347,8 +351,8 @@ impl TraceCtx {
     /// summary. Idempotent via [`TraceCtx::adopted`] conventions at the
     /// call sites (each trace has exactly one finisher).
     pub fn finish(&self, recorder: &FlightRecorder) -> Arc<CompletedTrace> {
-        let end_ns = prof::now_ns();
-        let status_raw = self.inner.status.load(Ordering::Relaxed);
+        let end_ns = host_ns();
+        let status_raw = self.inner.status.load(Ordering::SeqCst);
         // Stored from a u16; the min guard keeps the cast total anyway.
         #[allow(clippy::cast_possible_truncation)]
         let status = status_raw.min(u64::from(u16::MAX)) as u16;
@@ -367,7 +371,7 @@ impl TraceCtx {
             root: self.inner.root,
             name: self.inner.name.clone(),
             status,
-            pinned: self.inner.pinned.load(Ordering::Relaxed),
+            pinned: self.inner.pinned.load(Ordering::SeqCst),
             start_ns: self.inner.start_ns,
             dur_ns: end_ns.saturating_sub(self.inner.start_ns),
             spans,
@@ -412,7 +416,7 @@ impl Drop for SpanGuard {
             &self.name,
             self.attach_to,
             self.start_ns,
-            prof::now_ns(),
+            host_ns(),
             std::mem::take(&mut self.tags),
         );
     }
@@ -595,46 +599,9 @@ fn ns_to_us(ns: u64) -> u64 {
 // Flight recorder
 // ---------------------------------------------------------------------------
 
-/// One recorder slot: a spin-CAS guard around an `Arc` pointer. The guard
-/// is held only across a pointer move (publish) or an `Arc` clone
-/// (snapshot), so contention resolves in nanoseconds and the publish path
-/// never touches an OS lock or the allocator.
-struct Slot {
-    busy: AtomicBool,
-    data: UnsafeCell<Option<Arc<CompletedTrace>>>,
-}
-
-// SAFETY: `data` is only touched while `busy` is held (acquired with a
-// compare_exchange(Acquire), released with a store(Release)), which
-// serializes every access and publishes the written value to the next
-// acquirer.
-unsafe impl Sync for Slot {}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            busy: AtomicBool::new(false),
-            data: UnsafeCell::new(None),
-        }
-    }
-
-    /// Run `f` on the slot's payload under the spin guard.
-    fn with<R>(&self, f: impl FnOnce(&mut Option<Arc<CompletedTrace>>) -> R) -> R {
-        while self
-            .busy
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Acquire)
-            .is_err()
-        {
-            std::hint::spin_loop();
-        }
-        // SAFETY: the CAS above made this thread the unique holder of the
-        // guard; no other thread dereferences `data` until the Release
-        // store below.
-        let out = f(unsafe { &mut *self.data.get() });
-        self.busy.store(false, Ordering::Release);
-        out
-    }
-}
+/// One recorder slot. The lock is held only across a pointer move
+/// (publish) or an `Arc` clone (snapshot), once per completed request.
+type Slot = Mutex<Option<Arc<CompletedTrace>>>;
 
 /// A fixed-capacity overwrite-oldest ring of completed traces.
 struct Ring {
@@ -645,22 +612,23 @@ struct Ring {
 impl Ring {
     fn new(capacity: usize) -> Ring {
         Ring {
-            slots: (0..capacity.max(1)).map(|_| Slot::new()).collect(),
+            slots: (0..capacity.max(1)).map(|_| Slot::default()).collect(),
             cursor: AtomicUsize::new(0),
         }
     }
 
     fn push(&self, trace: Arc<CompletedTrace>) {
-        let idx = self.cursor.fetch_add(1, Ordering::Relaxed) % self.slots.len();
+        let idx = self.cursor.fetch_add(1, Ordering::SeqCst) % self.slots.len();
         if let Some(slot) = self.slots.get(idx) {
             // The old occupant's Arc drops outside the guard.
-            let _evicted = slot.with(|d| d.replace(trace));
+            let _evicted = lock(slot).replace(trace);
         }
     }
 
     fn snapshot_into(&self, out: &mut Vec<Arc<CompletedTrace>>) {
         for slot in &self.slots {
-            if let Some(t) = slot.with(|d| d.clone()) {
+            let occupant = lock(slot).clone();
+            if let Some(t) = occupant {
                 out.push(t);
             }
         }
@@ -957,7 +925,7 @@ mod tests {
         // microseconds, i.e. well under 2% of even a 1 ms request.
         let rec = FlightRecorder::default();
         let iters = 2_000u32;
-        let t0 = prof::now_ns();
+        let t0 = host_ns();
         for i in 0..iters {
             let ctx = TraceCtx::begin("bench", None);
             {
@@ -970,7 +938,7 @@ mod tests {
             ctx.set_status(if i % 2 == 0 { 200 } else { 500 });
             ctx.finish(&rec);
         }
-        let per_trace_ns = prof::now_ns().saturating_sub(t0) / u64::from(iters);
+        let per_trace_ns = host_ns().saturating_sub(t0) / u64::from(iters);
         assert!(
             per_trace_ns < 20_000,
             "tracing a request costs {per_trace_ns} ns — more than 2% of a 1 ms request"

@@ -1,3 +1,4 @@
+#![allow(clippy::unwrap_used)] // test code: panics are failures, not bugs
 //! End-to-end telemetry invariants: run real workloads with a probe
 //! attached and check that the emitted event stream is internally
 //! consistent — ordering, pairing, and cross-subsystem agreement with the
