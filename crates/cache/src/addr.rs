@@ -242,13 +242,6 @@ impl Geometry {
                 .wrapping_add(u64::from(set_index)),
         )
     }
-
-    /// Converts a raw byte address into a line address using this geometry's
-    /// line size.
-    #[inline]
-    pub fn line_of_byte_addr(&self, addr: u64) -> LineAddr {
-        LineAddr::from_byte_addr(addr, self.line_bytes)
-    }
 }
 
 impl fmt::Display for Geometry {

@@ -41,23 +41,6 @@
 //! assert!(cache.access(a, false, 1).hit);
 //! ```
 
-/// Model-checking assertion for the tag-store structural invariants
-/// (recency permutation, `cost_q` range, tag uniqueness). Compiled to a
-/// real `assert!` only under the `invariants` feature; a no-op (zero cost,
-/// in release and debug alike) otherwise. See DESIGN.md §10.
-#[cfg(feature = "invariants")]
-#[macro_export]
-macro_rules! invariant {
-    ($($arg:tt)*) => { assert!($($arg)*) };
-}
-
-/// No-op twin of the `invariants`-enabled assertion (feature disabled).
-#[cfg(not(feature = "invariants"))]
-#[macro_export]
-macro_rules! invariant {
-    ($($arg:tt)*) => {};
-}
-
 pub mod addr;
 pub mod atd;
 pub mod belady;

@@ -134,7 +134,7 @@ impl<'a> SetView<'a> {
     /// so this is the stored column itself: no allocation, no ranking.
     #[inline]
     pub fn recency_ranks(&self) -> &'a [u8] {
-        crate::invariant!(
+        debug_assert!(
             is_rank_permutation(self.valid, self.rank),
             "recency ranks of valid ways must be a permutation of 0..valid_count"
         );
@@ -183,9 +183,8 @@ fn first_valid_at_rank_zero(valid: &[bool], ranks: &[u8]) -> Option<usize> {
 /// Whether the valid ways' `ranks` are a permutation of `0..valid_count`
 /// — the recency stack orders every resident block exactly once, the
 /// property Eq. 1's `R(i)` and the LIN policy's rank term rely on. The
-/// model checks under the `invariants` feature call this; it does not
-/// allocate, so it can run on the victim path.
-#[cfg(any(test, feature = "invariants"))]
+/// model checks (`debug_assert!`s) call this; it does not allocate, so
+/// it can run on the victim path.
 pub(crate) fn is_rank_permutation(valid: &[bool], ranks: &[u8]) -> bool {
     let mut seen = [0u64; 4];
     let mut count = 0usize;
@@ -198,7 +197,7 @@ pub(crate) fn is_rank_permutation(valid: &[bool], ranks: &[u8]) -> bool {
             return false;
         }
         seen[word] |= bit;
-        count += 1;
+        count = count.saturating_add(1);
     }
     // `count` distinct ranks are exactly 0..count iff none reaches count.
     valid

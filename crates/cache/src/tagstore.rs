@@ -173,6 +173,7 @@ impl TagStore {
             return;
         }
         self.rank[i] = close_gap(&mut self.rank[r], way);
+        #[cfg(debug_assertions)]
         self.check_set_invariants(set);
     }
 
@@ -215,6 +216,7 @@ impl TagStore {
         self.tag[i] = tag;
         self.cost_q[i] = cost_q;
         self.dirty[i] = dirty;
+        #[cfg(debug_assertions)]
         self.check_set_invariants(set);
         evicted
     }
@@ -227,6 +229,7 @@ impl TagStore {
             Some(way) => {
                 let i = self.index(line, way);
                 self.cost_q[i] = cost_q;
+                #[cfg(debug_assertions)]
                 self.check_set_invariants(self.geometry.set_index(line));
                 true
             }
@@ -277,47 +280,43 @@ impl TagStore {
             })
     }
 
-    /// Model check (under the `invariants` feature) after any mutation of
+    /// Model check (in builds with debug assertions) after any mutation of
     /// one set: the valid ways' ranks and fill ranks are each a permutation
     /// of `0..valid_count` and invalid ways hold 0 in both, no two valid
     /// ways hold the same tag, and every `cost_q` fits the 3-bit field of
     /// Fig. 3b.
-    #[cfg(feature = "invariants")]
+    #[cfg(debug_assertions)]
     fn check_set_invariants(&self, set_index: u32) {
         let r = self.range(set_index);
         let valid = &self.valid[r.clone()];
-        crate::invariant!(
+        debug_assert!(
             crate::set::is_rank_permutation(valid, &self.rank[r.clone()]),
             "recency ranks of valid ways must be a permutation of 0..valid_count"
         );
-        crate::invariant!(
+        debug_assert!(
             crate::set::is_rank_permutation(valid, &self.fill_rank[r.clone()]),
             "fill ranks of valid ways must be a permutation of 0..valid_count"
         );
         for i in r.clone() {
             if !self.valid[i] {
-                crate::invariant!(
+                debug_assert!(
                     self.rank[i] == 0 && self.fill_rank[i] == 0,
                     "invalid ways hold rank 0"
                 );
                 continue;
             }
-            crate::invariant!(
+            debug_assert!(
                 self.cost_q[i] <= crate::meta::COST_Q_MAX,
                 "cost_q is a 3-bit field"
             );
-            for j in i + 1..r.end {
-                crate::invariant!(
+            for j in (i..r.end).skip(1) {
+                debug_assert!(
                     !self.valid[j] || self.tag[j] != self.tag[i],
                     "a tag may be resident in at most one way of a set"
                 );
             }
         }
     }
-
-    #[cfg(not(feature = "invariants"))]
-    #[inline]
-    fn check_set_invariants(&self, _set_index: u32) {}
 }
 
 /// Record of a block evicted from a tag store.
@@ -450,5 +449,19 @@ mod tests {
         assert_eq!(v.line_of(1), Some(LineAddr(4)));
         assert_eq!(v.recency_ranks(), [0, 1], "fill order sets recency");
         assert_eq!(v.fill_ranks(), v.recency_ranks());
+    }
+
+    /// The structural check runs in every debug build: two valid ways
+    /// sharing a rank break the recency permutation on the next touch.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "recency ranks of valid ways must be a permutation")]
+    fn a_duplicated_rank_fails_the_set_check() {
+        let mut t = TagStore::new(Geometry::from_sets(1, 4, 64));
+        for way in 0..4 {
+            t.fill(LineAddr(way as u64), way, false, 0);
+        }
+        t.rank[1] = t.rank[0];
+        t.touch(LineAddr(2), 2);
     }
 }

@@ -88,10 +88,10 @@ proptest! {
     /// The LRU recency stack stays a permutation of the valid ways under
     /// arbitrary interleavings of fills, touches, and cost updates, and a
     /// touch always moves its way to MRU (the highest rank; rank 0 is the
-    /// LRU block Eq. 1's `R(i)` wants to victimize first). Run with
-    /// `--features invariants` this also routes every operation through
-    /// the tag store's internal structural checks (unique tags, recency
-    /// and fill ranks each a permutation, 3-bit cost_q).
+    /// LRU block Eq. 1's `R(i)` wants to victimize first). In a debug
+    /// build this also routes every operation through the tag store's
+    /// internal structural checks (unique tags, recency and fill ranks
+    /// each a permutation, 3-bit cost_q).
     #[test]
     fn lru_stack_survives_arbitrary_ops(
         ops in prop::collection::vec((0u64..48, 0u8..3, 0u8..8), 1..250)

@@ -79,11 +79,6 @@ impl BclEngine {
     pub fn config(&self) -> BclConfig {
         self.config
     }
-
-    /// Number of lines currently holding spare credit (diagnostics).
-    pub fn tracked_lines(&self) -> usize {
-        self.credits.len()
-    }
 }
 
 impl ReplacementEngine for BclEngine {

@@ -154,7 +154,7 @@ impl Ccl {
                 }
             }
         };
-        crate::invariant!(
+        debug_assert!(
             increment.is_finite() && increment >= 0.0,
             "Algorithm 1 increment must be finite and non-negative"
         );

@@ -6,8 +6,8 @@
 //! and a silent truncation in any of them corrupts results without
 //! failing a test. Every conversion the model needs is therefore spelled
 //! as one of these helpers, each stating why it cannot lose information
-//! on reachable inputs — and asserting so under the `invariants` feature. The residual
-//! `as` casts live here, one per helper, each under an `#[expect]` that
+//! on reachable inputs — and asserting so in builds with debug assertions.
+//! The residual `as` casts live here, one per helper, each under an `#[expect]` that
 //! carries its justification.
 
 /// A `u64` cycle count (or byte count) as `f64`.
@@ -19,10 +19,10 @@
 #[inline]
 #[expect(
     clippy::as_conversions,
-    reason = "exact below 2^53, asserted under the invariants feature"
+    reason = "exact below 2^53, asserted in debug builds"
 )]
 pub fn cycles_f64(x: u64) -> f64 {
-    invariant!(
+    debug_assert!(
         x < (1u64 << 53),
         "cycle/byte count {x} exceeds f64 mantissa"
     );
@@ -35,25 +35,25 @@ pub fn cycles_f64(x: u64) -> f64 {
 #[inline]
 #[expect(
     clippy::as_conversions,
-    reason = "exact below 2^53, asserted under the invariants feature"
+    reason = "exact below 2^53, asserted in debug builds"
 )]
 pub fn count_f64(x: usize) -> f64 {
-    invariant!(x < (1usize << 53), "count {x} exceeds f64 mantissa");
+    debug_assert!(x < (1usize << 53), "count {x} exceeds f64 mantissa");
     x as f64
 }
 
 /// Truncates a finite non-negative `f64` to `u64` — the quantization
 /// step's `floor(mlp_cost / interval)`. Saturates NaN/negative to 0 and
-/// +inf to `u64::MAX` (Rust's `as` semantics), which the invariants
-/// feature rejects as model-unsound before the saturation can matter.
+/// +inf to `u64::MAX` (Rust's `as` semantics), which debug builds
+/// reject as model-unsound before the saturation can matter.
 #[inline]
 #[expect(
     clippy::as_conversions,
     clippy::cast_possible_truncation,
-    reason = "saturating by language semantics; the domain is asserted under the invariants feature"
+    reason = "saturating by language semantics; the domain is asserted in debug builds"
 )]
 pub fn trunc_u64(x: f64) -> u64 {
-    invariant!(
+    debug_assert!(
         x.is_finite() && x >= 0.0,
         "truncating unrepresentable f64 {x} (cost must be finite and non-negative)"
     );
@@ -67,10 +67,10 @@ pub fn trunc_u64(x: f64) -> u64 {
 #[expect(
     clippy::as_conversions,
     clippy::cast_possible_truncation,
-    reason = "saturating by language semantics; the domain is asserted under the invariants feature"
+    reason = "saturating by language semantics; the domain is asserted in debug builds"
 )]
 pub fn trunc_u32(x: f64) -> u32 {
-    invariant!(
+    debug_assert!(
         x.is_finite() && (0.0..=f64::from(u32::MAX)).contains(&x),
         "f64 {x} out of u32 range"
     );
@@ -131,14 +131,14 @@ mod tests {
         assert_eq!(trunc_u32(10.01), 10);
     }
 
-    #[cfg(feature = "invariants")]
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "finite")]
     fn invariants_reject_nan_cost() {
         let _ = trunc_u64(f64::NAN);
     }
 
-    #[cfg(feature = "invariants")]
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "u32 range")]
     fn invariants_reject_oversized_width() {

@@ -37,23 +37,6 @@
 //!   of Jeong & Dubois (the paper's reference \[8\]), demonstrating that
 //!   the MLP-based cost plugs into "any generic cost-sensitive scheme".
 
-/// Model-checking assertion for the paper's numeric invariants (Algorithm
-/// 1 accounting, `cost_q` range, PSEL saturation). Compiled to a real
-/// `assert!` only under the `invariants` feature; a no-op (zero cost, in
-/// release and debug alike) otherwise. See DESIGN.md §10.
-#[cfg(feature = "invariants")]
-#[macro_export]
-macro_rules! invariant {
-    ($($arg:tt)*) => { assert!($($arg)*) };
-}
-
-/// No-op twin of the `invariants`-enabled assertion (feature disabled).
-#[cfg(not(feature = "invariants"))]
-#[macro_export]
-macro_rules! invariant {
-    ($($arg:tt)*) => {};
-}
-
 pub mod bcl;
 pub mod cbs;
 pub mod ccl;

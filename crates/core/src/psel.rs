@@ -72,7 +72,7 @@ impl Psel {
     /// Saturating increment by `amount` (the cost_q of a divergent miss).
     pub fn inc_by(&mut self, amount: u32) {
         self.value = self.value.saturating_add(amount).min(self.max);
-        crate::invariant!(
+        debug_assert!(
             self.value <= self.max,
             "PSEL must saturate at its width's maximum"
         );
@@ -81,7 +81,7 @@ impl Psel {
     /// Saturating decrement by `amount`.
     pub fn dec_by(&mut self, amount: u32) {
         self.value = self.value.saturating_sub(amount);
-        crate::invariant!(
+        debug_assert!(
             self.value <= self.max,
             "PSEL must saturate at its width's maximum"
         );

@@ -45,7 +45,7 @@ pub fn quantize(mlp_cost_cycles: f64) -> CostQ {
     let bucket = crate::convert::trunc_u64(mlp_cost_cycles / COST_Q_INTERVAL_CYCLES);
     let q = CostQ::try_from(bucket.min(u64::from(COST_Q_MAX)))
         .expect("min with COST_Q_MAX (7) always fits in the 3-bit CostQ");
-    crate::invariant!(q <= COST_Q_MAX, "cost_q is a 3-bit value");
+    debug_assert!(q <= COST_Q_MAX, "cost_q is a 3-bit value");
     q
 }
 

@@ -67,8 +67,8 @@ proptest! {
     /// The event-driven CCL still matches the per-cycle reference when
     /// Algorithm 1's `N` divisor changes via promotions and demotions
     /// (prefetch merges, wrong-path resolution), not just alloc/free.
-    /// Run with `--features invariants` this also asserts every increment
-    /// is finite and non-negative and recounts the MSHR's demand slots.
+    /// In a debug build this also asserts every increment is finite and
+    /// non-negative and recounts the MSHR's demand slots.
     #[test]
     fn ccl_divisor_tracks_promotions(
         events in prop::collection::vec((0u8..4, 0u64..40, 1u64..200), 1..40)
@@ -149,9 +149,8 @@ proptest! {
     }
 
     /// PSEL saturates rather than wraps at both rails, even for update
-    /// amounts far beyond the counter width. Run with
-    /// `--features invariants` each step also fires the counter's
-    /// internal saturation assertion.
+    /// amounts far beyond the counter width. In a debug build each step
+    /// also fires the counter's internal saturation assertion.
     #[test]
     fn psel_saturates_at_extremes(
         bits in 1u32..12,

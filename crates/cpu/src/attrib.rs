@@ -10,7 +10,7 @@
 //! and hands the `delta % N` remainder to the lowest-indexed slots. Every
 //! sub-interval therefore sums to exactly `delta`, and the grand total
 //! over a run reconciles with `mem_stall_cycles` as a `u64` equality —
-//! the `invariant!` the `invariants` feature enforces at finalize.
+//! the `debug_assert!` that debug builds check at finalize.
 //!
 //! The tracker mirrors the CCL's event-driven charging: the system calls
 //! [`AttribTracker::charge`] wherever it calls `ccl.advance` while a span
@@ -111,7 +111,7 @@ impl AttribTracker {
     /// Opens a stall span at `now` on the window-head miss to `line`
     /// (mapping to `set` under `policy`).
     pub fn open(&mut self, now: u64, line: u64, set: u64, policy: &'static str, mshr: &Mshr) {
-        crate::invariant!(!self.active, "stall spans never nest");
+        debug_assert!(!self.active, "stall spans never nest");
         self.active = true;
         self.last_cycle = now;
         self.span_begin = now;
@@ -149,7 +149,7 @@ impl AttribTracker {
                 i += 1;
             }
         }
-        crate::invariant!(i == n, "demand recount matches the cached divisor");
+        debug_assert!(i == n, "demand recount matches the cached divisor");
     }
 
     /// Flushes a slot's accumulated cycles into the ledger as its entry is
@@ -193,8 +193,8 @@ impl AttribTracker {
     ///
     /// The caller must [`AttribTracker::charge`] up to `now` first.
     pub fn close(&mut self, now: u64, fallback_cost_q: u8) -> Span {
-        crate::invariant!(self.active, "close requires an open span");
-        crate::invariant!(
+        debug_assert!(self.active, "close requires an open span");
+        debug_assert!(
             self.last_cycle == now,
             "span must be charged through its end"
         );
@@ -242,7 +242,7 @@ impl AttribTracker {
     /// of run) and returns the finished ledger. Conservation —
     /// `ledger.total() == mem_stall_cycles` — is the caller's invariant.
     pub fn finalize(mut self, mshr: &Mshr) -> StallLedger {
-        crate::invariant!(!self.active, "finalize with a span still open");
+        debug_assert!(!self.active, "finalize with a span still open");
         for slot in 0..self.slot_acc.len() {
             if self.slot_acc[slot] > 0 {
                 let (line, cost) = mshr

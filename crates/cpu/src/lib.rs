@@ -36,24 +36,6 @@
 //! * [`wrongpath`] — optional synthetic wrong-path traffic (demand until
 //!   confirmed wrong-path, then demoted — the paper's §3.1 rule).
 
-/// Model-checking assertion for the CPU-side attribution invariants
-/// (span nesting, divisor recount, ledger/`mem_stall_cycles`
-/// reconciliation). Compiled to a real `assert!` only under the
-/// `invariants` feature; a no-op (zero cost, in release and debug alike)
-/// otherwise. See DESIGN.md §10–§11.
-#[cfg(feature = "invariants")]
-#[macro_export]
-macro_rules! invariant {
-    ($($arg:tt)*) => { assert!($($arg)*) };
-}
-
-/// No-op twin of the `invariants`-enabled assertion (feature disabled).
-#[cfg(not(feature = "invariants"))]
-#[macro_export]
-macro_rules! invariant {
-    ($($arg:tt)*) => {};
-}
-
 pub mod attrib;
 pub mod config;
 pub mod icache;

@@ -66,7 +66,7 @@ pub struct SimResult {
     pub miss_log: Vec<(u64, f64)>,
     /// Stall-cycle attribution ledger — `mem_stall_cycles` partitioned
     /// exactly over (set, cost_q, policy) keys (see `mlpsim-cpu::attrib`).
-    /// `Some` when a probe was attached or the `invariants` feature is on.
+    /// `Some` when a probe was attached or debug assertions are on.
     pub stall_ledger: Option<StallLedger>,
     /// The L2 engine's final diagnostic state (PSEL values and adaptation
     /// counters for hybrid policies), if it exposes one.

@@ -111,8 +111,8 @@ pub struct System<P: Probe = NoProbe> {
     sampler: Option<Sampler>,
     miss_log: Option<Vec<(u64, f64)>>,
     /// Stall-cycle attribution (see [`crate::attrib`]). `Some` when the
-    /// probe is enabled or the `invariants` feature is on; `None`
-    /// otherwise, so the uninstrumented hot path carries no tracker work.
+    /// probe is enabled or debug assertions are on; `None` otherwise, so
+    /// the uninstrumented release hot path carries no tracker work.
     attrib: Option<AttribTracker>,
     policy_label: String,
 }
@@ -139,16 +139,6 @@ impl<P: Probe> System<P> {
     pub fn with_probe(cfg: SystemConfig, probe: P) -> Self {
         let engine = cfg.policy.build(cfg.l2);
         let label = cfg.policy.label();
-        System::with_l2_engine_labeled(cfg, engine, label, probe)
-    }
-
-    /// Instrumented variant of [`System::with_l2_engine`].
-    pub fn with_l2_engine_and_probe(
-        cfg: SystemConfig,
-        engine: Box<dyn ReplacementEngine>,
-        probe: P,
-    ) -> Self {
-        let label = engine.name().to_string();
         System::with_l2_engine_labeled(cfg, engine, label, probe)
     }
 
@@ -187,8 +177,8 @@ impl<P: Probe> System<P> {
             .unwrap_or(u64::MAX);
         // The attribution ledger rides the probe: it feeds `stall_attrib`/
         // `stall_span` events when telemetry is on, and its reconciliation
-        // invariant is checked on every run under `--features invariants`.
-        let attrib = (P::ENABLED || cfg!(feature = "invariants"))
+        // invariant is checked on every run in builds with debug assertions.
+        let attrib = (P::ENABLED || cfg!(debug_assertions))
             .then(|| AttribTracker::new(cfg.mem.mshr_entries));
         System {
             l1,
@@ -947,11 +937,11 @@ impl<P: Probe> System<P> {
 
     fn finalize(mut self) -> SimResult {
         let stall_ledger = self.attrib.take().map(|t| t.finalize(&self.mshr));
-        #[cfg(feature = "invariants")]
+        #[cfg(debug_assertions)]
         if let Some(ledger) = &stall_ledger {
             // The whole point of exact apportionment: the ledger is a
             // partition of the memory-stall cycles, not an estimate.
-            crate::invariant!(
+            debug_assert!(
                 ledger.total() == self.mem_stall_cycles,
                 "attributed stall cycles ({}) must reconcile exactly with mem_stall_cycles ({})",
                 ledger.total(),

@@ -98,7 +98,7 @@ proptest! {
         let plain = System::new(SystemConfig::baseline(policy)).run(trace.iter());
         let (mut probed, _) = run_with_probe(SystemConfig::baseline(policy), &trace);
         // The ledger itself is the one sanctioned difference (`Some` vs.
-        // `None` without the `invariants` feature); everything else —
+        // `None` in a release build); everything else —
         // cycles, miss counts, cost histogram, PSEL debug state — must be
         // bit-identical.
         probed.stall_ledger = plain.stall_ledger.clone();

@@ -136,8 +136,9 @@ fn icache_path_matches() {
 
 #[test]
 fn uninstrumented_results_match_too() {
-    // `System::new` (NoProbe) drops the attribution tracker unless the
-    // `invariants` feature is on — a different hot path worth covering.
+    // `System::new` (NoProbe) drops the attribution tracker in release
+    // builds — a different hot path worth covering there; debug builds
+    // keep it, so finalize checks the ledger reconciliation.
     let trace = fig5_trace(SpecBench::Mcf);
     let cfg = SystemConfig::baseline(PolicyKind::lin4());
     let mut legacy_cfg = cfg.clone();

@@ -19,23 +19,6 @@
 //! overridable with the `MLPSIM_JOBS` environment variable or the
 //! `mlpsim` experiments' `--jobs N` flag (see [`default_jobs`]).
 
-/// Model-checking assertion for the worker-pool ordering contract (one
-/// result per submitted job, reassembled in submission order). Compiled to
-/// a real `assert!` only under the `invariants` feature; a no-op (zero
-/// cost, in release and debug alike) otherwise. See DESIGN.md §10.
-#[cfg(feature = "invariants")]
-#[macro_export]
-macro_rules! invariant {
-    ($($arg:tt)*) => { assert!($($arg)*) };
-}
-
-/// No-op twin of the `invariants`-enabled assertion (feature disabled).
-#[cfg(not(feature = "invariants"))]
-#[macro_export]
-macro_rules! invariant {
-    ($($arg:tt)*) => {};
-}
-
 pub mod pool;
 
 pub use pool::{

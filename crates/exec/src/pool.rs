@@ -173,11 +173,6 @@ impl WorkerPool {
         }
     }
 
-    /// A pool sized by [`default_jobs`].
-    pub fn with_default_jobs() -> Self {
-        Self::new(default_jobs())
-    }
-
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.workers.len()
@@ -298,7 +293,7 @@ impl WorkerPool {
         let mut slots: Vec<Option<Option<thread::Result<T>>>> = (0..n).map(|_| None).collect();
         for _ in 0..n {
             let (idx, out) = rx.recv().expect("every job sends exactly once");
-            crate::invariant!(
+            debug_assert!(
                 idx < n && slots[idx].is_none(),
                 "each submission index is delivered exactly once"
             );

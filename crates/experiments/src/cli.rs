@@ -258,7 +258,7 @@ impl Args {
     /// `--telemetry` opens an NDJSON stream, `--trace-out` a Chrome
     /// trace-event JSON file (load it in `chrome://tracing` or Perfetto):
     /// either alone, both fanned out from one stream, or a disabled handle.
-    fn sinks(&self) -> Result<SinkHandle, String> {
+    pub(crate) fn sinks(&self) -> Result<SinkHandle, String> {
         let ndjson = |p: &str| {
             NdjsonSink::create(p).map_err(|e| format!("cannot create telemetry file {p}: {e}"))
         };

@@ -29,6 +29,7 @@ pub struct Experiment {
 
 const NONE: &[Flag] = &[];
 const JOBS: &[Flag] = &[Flag::Jobs];
+const TELEMETRY: &[Flag] = &[Flag::Telemetry];
 /// A benchmark × policy sweep through [`Args::run_options`].
 const SWEEP: &[Flag] = &[Flag::Jobs, Flag::Accesses, Flag::Telemetry, Flag::TraceOut];
 /// A sweep that can also run through the sweep planner.
@@ -109,6 +110,18 @@ pub const TOOLS: &[Experiment] = &[
     Experiment {
         positional: &["<trace.json>"],
         ..entry("trace-check", "validate a --trace-out Chrome trace file", NONE, tools::trace_check)
+    },
+    Experiment {
+        positional: &["<bench>", "<accesses>", "<seed>", "[out.trace]"],
+        ..entry("trace-gen", "write a synthetic benchmark trace (to stdout without a file)", TELEMETRY, tools::trace_gen)
+    },
+    Experiment {
+        positional: &["<file.trace>"],
+        ..entry("trace-summary", "static statistics of a trace file", TELEMETRY, tools::trace_summary)
+    },
+    Experiment {
+        positional: &["<file.trace>", "[n]"],
+        ..entry("trace-head", "the first n records of a trace file (default 10)", NONE, tools::trace_head)
     },
 ];
 

@@ -410,8 +410,8 @@ pub fn run(args: &Args) -> Result<String, String> {
             "\n== Stall attribution ledger ({total} cycles over {} (set, cost_q, policy) keys) ==",
             ledger.len()
         );
-        // The invariant the simulator enforces under `--features
-        // invariants`, re-checked here from the stream alone.
+        // The invariant debug builds of the simulator assert, re-checked
+        // here from the stream alone.
         if saw_run_end {
             if total == run_end_stall {
                 let _ = writeln!(

@@ -1,6 +1,6 @@
 //! Diagnostic subcommands `mlpsim all` does not run: the generator-tuning
-//! dashboard, two per-benchmark drill-downs, and the `--trace-out`
-//! validator.
+//! dashboard, two per-benchmark drill-downs, the `--trace-out` validator,
+//! and the trace-file tools (`trace-gen`, `trace-summary`, `trace-head`).
 
 use crate::cli::{parse_bench, u64_from_arg, Args};
 use crate::figures::ipc_gain;
@@ -12,10 +12,15 @@ use mlpsim_cpu::config::SystemConfig;
 use mlpsim_cpu::policy::PolicyKind;
 use mlpsim_cpu::system::System;
 use mlpsim_telemetry::span::check_disjoint;
-use mlpsim_telemetry::Json;
+use mlpsim_telemetry::{Event, Json};
+use mlpsim_trace::io::{read_trace, write_trace};
+use mlpsim_trace::record::{AccessKind, Trace};
 use mlpsim_trace::spec::SpecBench;
+use mlpsim_trace::stats::TraceSummary;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
+use std::fs::File;
+use std::io::BufWriter;
 
 /// Generator-tuning dashboard: per-benchmark LRU characteristics plus
 /// LIN(4)/SBAR deltas beside the paper's targets — the instrument used to
@@ -222,4 +227,110 @@ pub fn trace_check(args: &Args) -> Result<String, String> {
         "{path}: ok — {slices} slices over {} rows, all disjoint{note}\n",
         rows.len()
     ))
+}
+
+/// `trace-gen <bench> <accesses> <seed> [out.trace]`: generates a
+/// synthetic benchmark trace in the text format of `mlpsim_trace::io`,
+/// into the file if one is named, else as the subcommand's output.
+/// `--telemetry` streams one `trace_gen` event.
+pub fn trace_gen(args: &Args) -> Result<String, String> {
+    let bench = parse_bench(args.positional(0).unwrap_or_default())?;
+    let accesses = u64_from_arg(args.positional(1), "access count", 0)?;
+    let seed = u64_from_arg(args.positional(2), "seed", 0)?;
+    let n = usize::try_from(accesses).map_err(|_| format!("access count {accesses} too large"))?;
+    let sink = args.sinks()?;
+    let trace = bench.generate(n, seed);
+    sink.emit_with(|| Event::TraceGen {
+        bench: bench.name().to_string(),
+        accesses,
+        seed,
+    });
+    let write_err = |e| format!("write failed: {e}");
+    match args.positional(3) {
+        Some(path) => {
+            let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+            write_trace(BufWriter::new(file), &trace).map_err(write_err)?;
+            Ok(String::new())
+        }
+        None => {
+            let mut out = Vec::new();
+            write_trace(&mut out, &trace).map_err(write_err)?;
+            String::from_utf8(out).map_err(|e| e.to_string())
+        }
+    }
+}
+
+/// `trace-summary <file.trace>`: a trace file's static statistics.
+/// `--telemetry` streams one `trace_summary` event.
+pub fn trace_summary(args: &Args) -> Result<String, String> {
+    let path = args.positional(0).unwrap_or_default();
+    let sink = args.sinks()?;
+    let s = TraceSummary::of(&read_trace_file(path)?);
+    sink.emit_with(|| Event::TraceSummary {
+        bench: path.to_string(),
+        accesses: s.accesses,
+        unique_lines: s.unique_lines,
+    });
+    Ok(format!(
+        "accesses        {}\n  loads         {}\n  stores        {}\n\
+         instructions    {}\nunique lines    {}\nwindow breaks   {}\n\
+         acc/kinst       {:.2}\nunique fraction {:.4}\n",
+        s.accesses,
+        s.loads,
+        s.stores,
+        s.instructions,
+        s.unique_lines,
+        s.window_breaks,
+        s.accesses_per_kilo_inst(),
+        s.unique_fraction(),
+    ))
+}
+
+/// `trace-head <file.trace> [n]`: the first `n` records (default 10).
+pub fn trace_head(args: &Args) -> Result<String, String> {
+    let path = args.positional(0).unwrap_or_default();
+    let n = u64_from_arg(args.positional(1), "record count", 10)?;
+    let trace = read_trace_file(path)?;
+    let mut out = String::new();
+    for a in trace.iter().take(usize::try_from(n).unwrap_or(usize::MAX)) {
+        let k = match a.kind {
+            AccessKind::Load => 'L',
+            AccessKind::Store => 'S',
+        };
+        let _ = writeln!(out, "gap {:6}  {k}  line {:#x}", a.gap, a.line);
+    }
+    Ok(out)
+}
+
+fn read_trace_file(path: &str) -> Result<Trace, String> {
+    File::open(path)
+        .map_err(Into::into)
+        .and_then(read_trace)
+        .map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn trace_tools_round_trip_a_generated_file() {
+        let path = std::env::temp_dir().join("mlpsim-tools-test.trace");
+        let path = path.display().to_string();
+        let args = |words: &[&str]| Args {
+            positional: words.iter().map(|w| w.to_string()).collect(),
+            ..Args::default()
+        };
+        let text = trace_gen(&args(&["mcf", "200", "5"])).unwrap();
+        assert_eq!(
+            trace_gen(&args(&["mcf", "200", "5", &path])),
+            Ok(String::new())
+        );
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        let summary = trace_summary(&args(&[&path])).unwrap();
+        assert!(summary.starts_with("accesses        "), "{summary}");
+        assert_eq!(trace_head(&args(&[&path, "3"])).unwrap().lines().count(), 3);
+        let _ = std::fs::remove_file(&path);
+        assert!(trace_gen(&args(&["mcf", "2e3", "5"])).is_err());
+    }
 }

@@ -21,24 +21,6 @@
 //! The MLP-based *interpretation* of the `mlp_cost` field lives in
 //! `mlpsim-core`; this crate only provides the architectural state.
 
-/// Model-checking assertion for the MSHR bookkeeping invariants (live and
-/// demand-live counters match a recount of the slots, `mlp_cost` stays
-/// finite and non-negative). Compiled to a real `assert!` only under the
-/// `invariants` feature; a no-op (zero cost, in release and debug alike)
-/// otherwise. See DESIGN.md §10.
-#[cfg(feature = "invariants")]
-#[macro_export]
-macro_rules! invariant {
-    ($($arg:tt)*) => { assert!($($arg)*) };
-}
-
-/// No-op twin of the `invariants`-enabled assertion (feature disabled).
-#[cfg(not(feature = "invariants"))]
-#[macro_export]
-macro_rules! invariant {
-    ($($arg:tt)*) => {};
-}
-
 pub mod bus;
 pub mod config;
 pub mod controller;

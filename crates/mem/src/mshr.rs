@@ -207,6 +207,7 @@ impl Mshr {
             demand_live: self.demand_live as u64,
             slot: idx as u64,
         });
+        #[cfg(debug_assertions)]
         self.check_invariants();
         Ok(MshrId(idx))
     }
@@ -231,6 +232,7 @@ impl Mshr {
             self.demand_live += 1;
             self.peak_demand = self.peak_demand.max(self.demand_live);
         }
+        #[cfg(debug_assertions)]
         self.check_invariants();
     }
 
@@ -250,6 +252,7 @@ impl Mshr {
             e.is_demand = false;
             self.demand_live -= 1;
         }
+        #[cfg(debug_assertions)]
         self.check_invariants();
     }
 
@@ -310,6 +313,7 @@ impl Mshr {
             cost: e.mlp_cost,
             slot: id.0 as u64,
         });
+        #[cfg(debug_assertions)]
         self.check_invariants();
         e
     }
@@ -343,12 +347,12 @@ impl Mshr {
         self.earliest.map(|(done, slot)| (MshrId(slot), done))
     }
 
-    /// Model check (under the `invariants` feature) after any occupancy
+    /// Model check (in builds with debug assertions) after any occupancy
     /// change: the cached `live`/`demand_live` counters equal a recount of
     /// the slots (the `N` of Algorithm 1 must never drift), the peak never
     /// trails the current demand count, and every accumulated `mlp_cost` is
     /// finite and non-negative.
-    #[cfg(feature = "invariants")]
+    #[cfg(debug_assertions)]
     fn check_invariants(&self) {
         let live = self.slots.iter().filter(|s| s.is_some()).count();
         let demand = self
@@ -356,48 +360,44 @@ impl Mshr {
             .iter()
             .filter(|s| s.as_ref().is_some_and(|e| e.is_demand))
             .count();
-        crate::invariant!(
+        debug_assert!(
             self.live == live,
             "live counter must match a recount of occupied slots"
         );
-        crate::invariant!(
+        debug_assert!(
             self.demand_live == demand,
             "demand-live counter is Algorithm 1's N and must never drift"
         );
-        crate::invariant!(
+        debug_assert!(
             self.peak_demand >= self.demand_live,
             "peak demand is a high-water mark"
         );
         for e in self.slots.iter().flatten() {
-            crate::invariant!(
+            debug_assert!(
                 e.mlp_cost.is_finite() && e.mlp_cost >= 0.0,
                 "mlp_cost accumulates non-negative finite increments"
             );
-            crate::invariant!(
+            debug_assert!(
                 e.done_cycle >= e.alloc_cycle,
                 "a miss cannot complete before it was issued"
             );
         }
-        crate::invariant!(
+        debug_assert!(
             self.lines.len() == live,
             "line index must hold exactly the live entries"
         );
         for &(line, slot) in &self.lines {
-            crate::invariant!(
+            debug_assert!(
                 self.slots[slot].as_ref().is_some_and(|e| e.line == line),
                 "line index entries must point at matching live slots"
             );
         }
         let recomputed = self.iter().map(|(id, e)| (e.done_cycle, id.0)).min();
-        crate::invariant!(
+        debug_assert!(
             self.earliest == recomputed,
             "cached earliest completion must match a full (done, slot) rescan"
         );
     }
-
-    #[cfg(not(feature = "invariants"))]
-    #[inline]
-    fn check_invariants(&self) {}
 }
 
 #[cfg(test)]
@@ -521,5 +521,16 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_capacity_panics() {
         let _ = Mshr::new(0);
+    }
+
+    /// The recount runs in every debug build: a drifted `N` fails the next
+    /// occupancy change.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "demand-live counter is Algorithm 1's N")]
+    fn a_drifted_demand_count_fails_the_recount() {
+        let mut m = Mshr::new(4);
+        m.demand_live += 1;
+        let _ = m.allocate(LineAddr(1), 0, 444, true);
     }
 }

@@ -54,8 +54,8 @@ proptest! {
 
     /// The demand-miss count — Algorithm 1's `N` divisor — tracks
     /// promotions and demotions exactly, not just allocations and frees.
-    /// Run with `--features invariants` every mutation here also recounts
-    /// the slot array against the cached counters.
+    /// In a debug build every mutation here also recounts the slot array
+    /// against the cached counters.
     #[test]
     fn demand_divisor_tracks_promotions(
         ops in prop::collection::vec((0u8..4, 0usize..16), 1..300)

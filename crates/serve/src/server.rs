@@ -436,20 +436,9 @@ fn route(
                 }
             };
             let t0 = crate::host_ns();
-            // The scoring runs on its own thread so a model bug panics
-            // that thread, not this handler: the `Err` from `join()`
-            // becomes a 500 that names the estimate.
-            let doc = match thread::spawn(move || spec.estimate_doc(margin)).join() {
-                Ok(doc) => doc,
-                Err(_) => {
-                    drop(est);
-                    return respond_json(
-                        stream,
-                        500,
-                        &err_json("estimate failed: the model panicked scoring this spec"),
-                    );
-                }
-            };
+            // A model bug that panics here becomes the connection's 500
+            // (`panic_boundary`), like a panic in any other route.
+            let doc = spec.estimate_doc(margin);
             state.observe_estimate(crate::host_ns().saturating_sub(t0) / 1000);
             state.count("estimates_total");
             let summary = doc.get("summary");

@@ -668,12 +668,11 @@ impl State {
     /// access-log line carrying the trace id and the phase durations.
     pub fn complete_trace(&self, ctx: &TraceCtx) -> Arc<CompletedTrace> {
         let done = ctx.finish(&self.recorder);
-        #[allow(unused_variables)]
-        let recon = done.reconcile();
-        mlpsim_exec::invariant!(
-            !recon.overrun,
-            "trace {} span tree double-books wall time: {recon:?}",
-            done.trace_id_hex()
+        debug_assert!(
+            !done.reconcile().overrun,
+            "trace {} span tree double-books wall time: {:?}",
+            done.trace_id_hex(),
+            done.reconcile()
         );
         let mut extra: Vec<(&str, f64)> = Vec::new();
         if let Some(ns) = done.span_dur_ns("queue_wait") {

@@ -17,8 +17,8 @@
 //! and the first `delta % N` misses (in ascending MSHR slot order) one
 //! extra, so every interval — and therefore the grand total — reconciles
 //! with `mem_stall_cycles` as a `u64` equality, not an approximate float
-//! comparison. The `mlpsim-cpu` crate enforces the reconciliation as an
-//! `invariant!` under the `invariants` feature; [`StallLedger::total`]
+//! comparison. The `mlpsim-cpu` crate enforces the reconciliation as a
+//! `debug_assert!` on every run of a debug build; [`StallLedger::total`]
 //! gives report tooling the same check over an event stream.
 
 use crate::event::Event;

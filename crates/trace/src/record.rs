@@ -115,11 +115,6 @@ impl Trace {
     pub fn push(&mut self, access: Access) {
         self.accesses.push(access);
     }
-
-    /// Appends all accesses of another trace.
-    pub fn extend_from(&mut self, other: &Trace) {
-        self.accesses.extend_from_slice(&other.accesses);
-    }
 }
 
 impl FromIterator<Access> for Trace {

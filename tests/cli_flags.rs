@@ -1,13 +1,23 @@
 //! The `mlpsim` command-line parser: every flag spelling, every malformed
 //! value, and every flag the chosen subcommand would ignore. Calls the
-//! library parser directly; starts no process.
+//! library parser (and, for arguments only an entry can check, the entry)
+//! directly; starts no process.
 
 use mlpsim_experiments::cli::{parse, Args};
 use mlpsim_experiments::runner::PlanOptions;
 
+fn argv(line: &str) -> Vec<String> {
+    line.split_whitespace().map(String::from).collect()
+}
+
 fn parse_line(line: &str) -> Result<Args, String> {
-    let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
-    parse(&argv).map(|(_, args)| args)
+    parse(&argv(line)).map(|(_, args)| args)
+}
+
+/// Parses `line` and, if it parses, runs the entry: a positional count or
+/// seed is checked by the entry that reads it.
+fn run_line(line: &str) -> Result<String, String> {
+    parse(&argv(line)).and_then(|(e, args)| (e.run)(&args))
 }
 
 #[test]
@@ -25,8 +35,10 @@ fn unknown_and_unused_flags_are_errors_naming_the_flag() {
         ("fig5 --telemetry --accesses", "--accesses"),
         ("table2 extra", "\"extra\""),
         ("debug_regions twolf more", "\"more\""),
+        ("trace-gen mcf 20 42 --bogus", "--bogus"),
+        ("trace-head t.trace 1x", "\"1x\""),
     ] {
-        let err = parse_line(line).expect_err(line);
+        let err = run_line(line).expect_err(line);
         assert!(err.contains(flag), "{line}: {err}");
     }
 }
@@ -57,6 +69,8 @@ fn malformed_lines_are_errors() {
         // A margin without the planner is a contradiction, not a no-op.
         "fig5 --prune-margin 0.01",
         "fig5 --plan full --prune-margin 0.01",
+        "trace-gen mcf 20",
+        "trace-head",
     ] {
         assert!(parse_line(line).is_err(), "{line:?} should fail");
     }
@@ -96,6 +110,11 @@ fn every_spelling_of_the_used_flags_parses() {
             .traces
             .as_deref(),
         Some("d.json")
+    );
+    let a = parse_line("trace-gen mcf 20 42 out.trace --telemetry=g.ndjson").unwrap();
+    assert_eq!(
+        (a.positional(3), a.telemetry.as_deref()),
+        (Some("out.trace"), Some("g.ndjson"))
     );
     let a = parse_line("debug_phases ammp 1000").unwrap();
     assert_eq!(
