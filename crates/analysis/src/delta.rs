@@ -118,11 +118,6 @@ impl DeltaTracker {
     pub fn stats(&self) -> &DeltaStats {
         &self.stats
     }
-
-    /// Number of distinct lines seen.
-    pub fn lines_seen(&self) -> usize {
-        self.last_cost.len()
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +148,6 @@ mod tests {
         t.observe(1, 100.0);
         assert_eq!(t.stats().count(), 1);
         assert_eq!(t.stats().lt60, 1);
-        assert_eq!(t.lines_seen(), 2);
     }
 
     #[test]

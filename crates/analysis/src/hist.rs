@@ -88,11 +88,6 @@ impl CostHistogram {
         }
     }
 
-    /// Fraction of misses in the rightmost (isolated-dominated) bin.
-    pub fn isolated_fraction(&self) -> f64 {
-        self.percent(BINS - 1) / 100.0
-    }
-
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &CostHistogram) {
         for i in 0..BINS {
@@ -144,7 +139,6 @@ mod tests {
         let h = CostHistogram::new();
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.percent(0), 0.0);
-        assert_eq!(h.isolated_fraction(), 0.0);
     }
 
     #[test]

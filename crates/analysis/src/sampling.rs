@@ -67,12 +67,6 @@ pub fn p_best(k: u32, p: f64) -> f64 {
     total
 }
 
-/// The `(k, P(Best))` series for Fig. 8: `k` from 1 to `max_k` at a given
-/// `p`.
-pub fn p_best_series(max_k: u32, p: f64) -> Vec<(u32, f64)> {
-    (1..=max_k).map(|k| (k, p_best(k, p))).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,13 +133,5 @@ mod tests {
             assert!((p_best(k, 1.0) - 1.0).abs() < 1e-12);
             assert!(p_best(k, 0.0) < 1e-12);
         }
-    }
-
-    #[test]
-    fn series_covers_requested_range() {
-        let s = p_best_series(8, 0.8);
-        assert_eq!(s.len(), 8);
-        assert_eq!(s[0].0, 1);
-        assert_eq!(s[7].0, 8);
     }
 }

@@ -137,12 +137,6 @@ impl CacheModel {
         self.first_touch_misses
     }
 
-    /// Resets statistics (not contents), e.g. after cache warm-up.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-        self.first_touch_misses = 0;
-    }
-
     /// Performs one access.
     ///
     /// * `write` marks the line dirty (write-allocate, writeback).
@@ -354,18 +348,6 @@ mod tests {
         }
         assert_eq!(c.compulsory_misses(), 3);
         assert!(c.stats().misses > 3);
-    }
-
-    #[test]
-    fn reset_stats_keeps_contents() {
-        let mut c = small();
-        c.access(LineAddr(0), false, 0);
-        c.reset_stats();
-        assert_eq!(c.stats().accesses(), 0);
-        assert!(
-            c.access(LineAddr(0), false, 1).hit,
-            "contents survive reset"
-        );
     }
 
     #[test]

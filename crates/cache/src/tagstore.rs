@@ -262,24 +262,6 @@ impl TagStore {
         self.valid.iter().filter(|&&v| v).count()
     }
 
-    /// Iterator over all resident line addresses.
-    pub fn resident_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        let g = self.geometry;
-        let ways = usize::from(g.ways());
-        self.valid
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v)
-            .map(move |(i, _)| {
-                #[expect(
-                    clippy::arithmetic_side_effects,
-                    reason = "every geometry has at least one way"
-                )]
-                let set = (i / ways) as u32;
-                g.line_from_parts(self.tag[i], set)
-            })
-    }
-
     /// Model check (in builds with debug assertions) after any mutation of
     /// one set: the valid ways' ranks and fill ranks are each a permutation
     /// of `0..valid_count` and invalid ways hold 0 in both, no two valid
@@ -406,22 +388,6 @@ mod tests {
         t.fill(a, 0, false, 0);
         assert!(t.set_cost_q(a, 7));
         assert_eq!(t.cost_q_of(a), Some(7));
-    }
-
-    #[test]
-    fn resident_lines_round_trip() {
-        let mut t = store();
-        let lines = [LineAddr(0), LineAddr(1), LineAddr(6), LineAddr(11)];
-        for (i, &l) in lines.iter().enumerate() {
-            let set = t.geometry().set_index(l);
-            let way = t.view(set).first_invalid().unwrap();
-            t.fill(l, way, false, i as u8);
-        }
-        let mut resident: Vec<_> = t.resident_lines().collect();
-        resident.sort();
-        let mut expect = lines.to_vec();
-        expect.sort();
-        assert_eq!(resident, expect);
     }
 
     #[test]

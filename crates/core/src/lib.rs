@@ -28,9 +28,10 @@
 //! * [`psel`] — the saturating policy-selector counter.
 //! * [`leader`] — leader-set selection: `simple-static` and `rand-dynamic`
 //!   (§6.4, §6.6).
-//! * [`sbar`] — Sampling Based Adaptive Replacement (Fig. 7c).
-//! * [`cbs`] — Contest Based Selection, both `CBS-local` and `CBS-global`
-//!   (Fig. 7a/b), used as the expensive reference points SBAR approximates.
+//! * [`hybrid`] — the LIN/LRU contest behind Sampling Based Adaptive
+//!   Replacement (SBAR, Fig. 7c) and Contest Based Selection, both
+//!   `CBS-local` and `CBS-global` (Fig. 7a/b), the expensive reference
+//!   points SBAR approximates: one engine, two settings.
 //! * [`overhead`] — the hardware bit-budget model behind the paper's
 //!   "1854 B, less than 0.2% of a 1 MB cache" claim,
 //! * [`bcl`] — an alternative Cost-Aware Replacement Engine in the style
@@ -38,18 +39,17 @@
 //!   the MLP-based cost plugs into "any generic cost-sensitive scheme".
 
 pub mod bcl;
-pub mod cbs;
 pub mod ccl;
 pub mod convert;
+pub mod hybrid;
 pub mod leader;
 pub mod lin;
 pub mod overhead;
 pub mod psel;
 pub mod quant;
-pub mod sbar;
 
 pub use ccl::{AdderMode, Ccl};
+pub use hybrid::HybridEngine;
 pub use lin::LinEngine;
 pub use psel::Psel;
 pub use quant::{quantize, COST_Q_INTERVAL_CYCLES};
-pub use sbar::SbarEngine;

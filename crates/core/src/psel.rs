@@ -94,35 +94,6 @@ impl Psel {
     }
 }
 
-/// Observes a [`Psel`] across updates and reports MSB flips — the moments
-/// the follower sets actually switch policy. Engines keep one watch per
-/// counter so telemetry can count flips and measure dwell times.
-#[derive(Clone, Copy, Debug)]
-pub struct PselWatch {
-    last_msb: bool,
-}
-
-impl PselWatch {
-    /// Starts watching from `p`'s current state.
-    pub fn new(p: &Psel) -> Self {
-        PselWatch {
-            last_msb: p.msb_set(),
-        }
-    }
-
-    /// Call after every update to `p`; returns `Some(new_msb)` when the
-    /// MSB changed since the last observation.
-    pub fn observe(&mut self, p: &Psel) -> Option<bool> {
-        let msb = p.msb_set();
-        if msb != self.last_msb {
-            self.last_msb = msb;
-            Some(msb)
-        } else {
-            None
-        }
-    }
-}
-
 impl Default for Psel {
     fn default() -> Self {
         Psel::paper_default()

@@ -8,16 +8,6 @@ use mlpsim_cache::addr::Geometry;
 use mlpsim_core::ccl::AdderMode;
 use mlpsim_mem::MemConfig;
 
-/// Maximum number of `(line, mlp_cost)` entries retained in
-/// [`SimResult::miss_log`](crate::stats::SimResult::miss_log) when
-/// [`SystemConfig::collect_miss_log`] is on. One entry is 16 bytes, so the
-/// cap bounds the log at 16 MiB regardless of trace length; entries past
-/// the cap are dropped (the per-miss analyses that consume the log — delta
-/// scatter, cost CDFs — are statistical and unaffected by truncating the
-/// tail). Full-stream per-miss data is available losslessly through the
-/// telemetry layer (`serviced` events) instead.
-pub const MISS_LOG_CAP: usize = 1 << 20;
-
 /// When the cost-calculation logic accrues `1/N` (paper footnote 4).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum CostAccounting {
@@ -103,11 +93,6 @@ pub struct SystemConfig {
     /// Optional interval (retired instructions) for time-series sampling
     /// (Fig. 11); `None` disables sampling.
     pub sample_interval: Option<u64>,
-    /// When true, serviced demand misses are appended to
-    /// [`SimResult::miss_log`](crate::stats::SimResult::miss_log) as
-    /// `(line, mlp_cost)` — per-line diagnostics at the price of memory.
-    /// The log is bounded at [`MISS_LOG_CAP`] entries.
-    pub collect_miss_log: bool,
     /// Test-only escape hatch: when set, dispatch gaps advance strictly
     /// cycle-by-cycle instead of taking the O(1) event-driven fast-forward.
     /// The two paths are equivalent by construction; the differential suite
@@ -133,7 +118,6 @@ impl SystemConfig {
             cost_accounting: CostAccounting::AllCycles,
             epoch_insts: 2_000_000,
             sample_interval: None,
-            collect_miss_log: false,
             legacy_stepping: false,
         }
     }

@@ -6,9 +6,8 @@ use mlpsim_cache::lru::LruEngine;
 use mlpsim_cache::policy::ReplacementEngine;
 use mlpsim_cache::random::RandomEngine;
 use mlpsim_core::bcl::{BclConfig, BclEngine};
-use mlpsim_core::cbs::{CbsConfig, CbsEngine};
+use mlpsim_core::hybrid::{CbsConfig, HybridEngine, SbarConfig};
 use mlpsim_core::lin::LinEngine;
-use mlpsim_core::sbar::{SbarConfig, SbarEngine};
 
 /// Which replacement policy the L2 runs.
 #[derive(Clone, Copy, Debug)]
@@ -59,9 +58,9 @@ impl PolicyKind {
             PolicyKind::Random { seed } => Box::new(RandomEngine::new(seed)),
             PolicyKind::Lin { lambda } => Box::new(LinEngine::new(lambda)),
             PolicyKind::Bcl(cfg) => Box::new(BclEngine::new(cfg)),
-            PolicyKind::Sbar(cfg) => Box::new(SbarEngine::new(geometry, cfg)),
-            PolicyKind::CbsLocal => Box::new(CbsEngine::new(geometry, CbsConfig::local())),
-            PolicyKind::CbsGlobal => Box::new(CbsEngine::new(geometry, CbsConfig::global())),
+            PolicyKind::Sbar(cfg) => Box::new(HybridEngine::sbar(geometry, cfg)),
+            PolicyKind::CbsLocal => Box::new(HybridEngine::cbs(geometry, CbsConfig::local())),
+            PolicyKind::CbsGlobal => Box::new(HybridEngine::cbs(geometry, CbsConfig::global())),
         }
     }
 

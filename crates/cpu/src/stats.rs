@@ -60,10 +60,6 @@ pub struct SimResult {
     pub peak_mlp: usize,
     /// Interval samples (Fig. 11), when sampling was enabled.
     pub samples: Vec<Sample>,
-    /// Per-miss `(line, mlp_cost)` log, when
-    /// [`collect_miss_log`](crate::config::SystemConfig::collect_miss_log)
-    /// was enabled.
-    pub miss_log: Vec<(u64, f64)>,
     /// Stall-cycle attribution ledger — `mem_stall_cycles` partitioned
     /// exactly over (set, cost_q, policy) keys (see `mlpsim-cpu::attrib`).
     /// `Some` when a probe was attached or debug assertions are on.

@@ -109,7 +109,6 @@ pub struct System<P: Probe = NoProbe> {
     stall_episodes: u64,
     last_retire_cycle: u64,
     sampler: Option<Sampler>,
-    miss_log: Option<Vec<(u64, f64)>>,
     /// Stall-cycle attribution (see [`crate::attrib`]). `Some` when the
     /// probe is enabled or debug assertions are on; `None` otherwise, so
     /// the uninstrumented release hot path carries no tracker work.
@@ -211,7 +210,6 @@ impl<P: Probe> System<P> {
             mem_stall_cycles: 0,
             stall_episodes: 0,
             last_retire_cycle: 0,
-            miss_log: cfg.collect_miss_log.then(Vec::new),
             attrib,
             sampler,
             policy_label: label,
@@ -872,12 +870,6 @@ impl<P: Probe> System<P> {
                 if let Some(s) = &mut self.sampler {
                     s.record_miss_cost(q);
                 }
-                if let Some(log) = &mut self.miss_log {
-                    // Bounded: see `MISS_LOG_CAP` in `config.rs`.
-                    if log.len() < crate::config::MISS_LOG_CAP {
-                        log.push((entry.line.0, cost));
-                    }
-                }
             }
         }
     }
@@ -989,7 +981,6 @@ impl<P: Probe> System<P> {
             stall_episodes: self.stall_episodes,
             peak_mlp: self.mshr.peak_demand(),
             samples: self.sampler.map(Sampler::into_samples).unwrap_or_default(),
-            miss_log: self.miss_log.unwrap_or_default(),
             stall_ledger,
             policy_debug,
         }
@@ -1165,13 +1156,16 @@ mod tests {
     }
 
     #[test]
-    fn miss_log_records_every_serviced_demand_miss() {
-        let mut cfg = baseline();
-        cfg.collect_miss_log = true;
+    fn serviced_events_log_every_demand_miss() {
+        use mlpsim_telemetry::{ServicedLog, SinkHandle, SinkProbe};
+        use std::sync::{Arc, Mutex};
         let trace: Trace = (0..30u64).map(|i| Access::load(i * 4096, 200)).collect();
-        let r = System::new(cfg).run(trace.iter());
-        assert_eq!(r.miss_log.len() as u64, r.l2.misses);
-        for &(line, cost) in &r.miss_log {
+        let log = Arc::new(Mutex::new(ServicedLog::default()));
+        let probe = SinkProbe::new(SinkHandle::shared(log.clone()));
+        let r = System::with_probe(baseline(), probe).run(trace.iter());
+        let misses = std::mem::take(&mut log.lock().unwrap().misses);
+        assert_eq!(misses.len() as u64, r.l2.misses);
+        for (line, cost) in misses {
             assert!(cost > 0.0);
             assert!(line % 4096 == 0);
         }
@@ -1190,8 +1184,8 @@ mod tests {
     fn epoch_hook_reaches_the_engine() {
         // A rand-dynamic SBAR reselects leader sets on every epoch; with a
         // small epoch interval this must not disturb correctness.
+        use mlpsim_core::hybrid::SbarConfig;
         use mlpsim_core::leader::SelectionPolicy;
-        use mlpsim_core::sbar::SbarConfig;
         let mut cfg = baseline();
         cfg.policy = PolicyKind::Sbar(SbarConfig {
             selection: SelectionPolicy::RandDynamic,

@@ -56,7 +56,7 @@ proptest! {
     ) {
         let trace = trace_from(&parts);
         let policy = if sbar {
-            PolicyKind::Sbar(mlpsim_core::sbar::SbarConfig::paper_default())
+            PolicyKind::Sbar(mlpsim_core::hybrid::SbarConfig::paper_default())
         } else {
             PolicyKind::Lru
         };
@@ -91,7 +91,7 @@ proptest! {
     ) {
         let trace = trace_from(&parts);
         let policy = if sbar {
-            PolicyKind::Sbar(mlpsim_core::sbar::SbarConfig::paper_default())
+            PolicyKind::Sbar(mlpsim_core::hybrid::SbarConfig::paper_default())
         } else {
             PolicyKind::Lru
         };

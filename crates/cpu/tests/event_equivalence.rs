@@ -3,11 +3,12 @@
 //! The simulator fast-forwards idle dispatch cycles in O(1)
 //! (`System::gap_fast_forward`); `SystemConfig::legacy_stepping` keeps the
 //! original cycle-by-cycle path alive as the reference model. The two must
-//! be *indistinguishable*: identical `SimResult` (stats, samples, miss log,
-//! and the stall-attribution ledger) and an identical telemetry event
-//! stream, over workloads that exercise every discrete event the jump has
-//! to stop for — fills, squashes, epochs, sampler boundaries, synthetic
-//! branches, prefetches, and footnote-4 gated-cost spans.
+//! be *indistinguishable*: identical `SimResult` (stats, samples and the
+//! stall-attribution ledger) and an identical telemetry event stream
+//! (which carries every serviced miss's line and cost), over workloads
+//! that exercise every discrete event the jump has to stop for — fills,
+//! squashes, epochs, sampler boundaries, synthetic branches, prefetches,
+//! and footnote-4 gated-cost spans.
 
 use mlpsim_cpu::{PolicyKind, SimResult, System, SystemConfig};
 use mlpsim_telemetry::{Event, EventSink, SinkHandle, SinkProbe};
@@ -101,7 +102,6 @@ fn sampler_and_small_epochs_match() {
     // Force many boundary crossings so jumps must stop at each one.
     cfg.sample_interval = Some(500);
     cfg.epoch_insts = 2_000;
-    cfg.collect_miss_log = true;
     assert_paths_equivalent("parser/sampler+epochs", cfg, &trace);
 }
 

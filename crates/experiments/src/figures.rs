@@ -20,11 +20,10 @@ use mlpsim_analysis::util::percent_improvement;
 use mlpsim_cache::addr::{Geometry, LineAddr};
 use mlpsim_cache::belady::BeladyEngine;
 use mlpsim_cache::policy::ReplacementEngine;
-use mlpsim_core::cbs::{CbsConfig, CbsEngine};
+use mlpsim_core::hybrid::{CbsConfig, HybridEngine, SbarConfig};
 use mlpsim_core::leader::{LeaderSets, SelectionPolicy};
 use mlpsim_core::overhead::{cbs_overhead, sbar_overhead, OverheadParams};
 use mlpsim_core::quant::{bucket_label, bucket_range, quantize};
-use mlpsim_core::sbar::SbarConfig;
 use mlpsim_cpu::config::SystemConfig;
 use mlpsim_cpu::policy::PolicyKind;
 use mlpsim_cpu::stats::SimResult;
@@ -319,8 +318,8 @@ pub fn fig6(_: &Args) -> Result<String, String> {
     let mut out =
         String::from("Figure 6 — Contest Based Selection for a single set (mechanism demo)\n\n");
     let g = Geometry::from_sets(4, 2, 64);
-    let mut cbs = CbsEngine::new(g, CbsConfig::global());
-    let mut show = |cbs: &CbsEngine, what: &str| {
+    let mut cbs = HybridEngine::cbs(g, CbsConfig::global());
+    let mut show = |cbs: &HybridEngine, what: &str| {
         let p = cbs.psel_for(0);
         let msb = if p.msb_set() { "1 -> LIN" } else { "0 -> LRU" };
         let _ = writeln!(out, "{what:52} PSEL = {:3} (MSB {msb})", p.value());

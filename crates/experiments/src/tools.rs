@@ -12,7 +12,7 @@ use mlpsim_cpu::config::SystemConfig;
 use mlpsim_cpu::policy::PolicyKind;
 use mlpsim_cpu::system::System;
 use mlpsim_telemetry::span::check_disjoint;
-use mlpsim_telemetry::{Event, Json};
+use mlpsim_telemetry::{Event, Json, ServicedLog, SinkHandle, SinkProbe};
 use mlpsim_trace::io::{read_trace, write_trace};
 use mlpsim_trace::record::{AccessKind, Trace};
 use mlpsim_trace::spec::SpecBench;
@@ -21,6 +21,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::BufWriter;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Generator-tuning dashboard: per-benchmark LRU characteristics plus
 /// LIN(4)/SBAR deltas beside the paper's targets — the instrument used to
@@ -73,9 +74,10 @@ pub fn debug_regions(args: &Args) -> Result<String, String> {
     }
     let mut out = format!("bench {}: {} accesses\n", bench.name(), trace.len());
     for policy in [PolicyKind::Lru, PolicyKind::lin4()] {
-        let mut cfg = SystemConfig::baseline(policy);
-        cfg.collect_miss_log = true;
-        let r = System::new(cfg).run(trace.iter());
+        let log = Arc::new(Mutex::new(ServicedLog::default()));
+        let probe = SinkProbe::new(SinkHandle::shared(log.clone()));
+        let r = System::with_probe(SystemConfig::baseline(policy), probe).run(trace.iter());
+        let misses = std::mem::take(&mut log.lock().unwrap_or_else(PoisonError::into_inner).misses);
         let _ = writeln!(
             out,
             "{:8} ipc {:.3} l2miss {:6} iso% {:4.1} meanCost {:3.0} stallEp {:6} memStall {}",
@@ -88,7 +90,7 @@ pub fn debug_regions(args: &Args) -> Result<String, String> {
             r.mem_stall_cycles,
         );
         let mut slot_miss: BTreeMap<u64, (u64, f64)> = BTreeMap::new();
-        for &(line, cost) in &r.miss_log {
+        for (line, cost) in misses {
             let e = slot_miss.entry(line >> 24).or_default();
             e.0 += 1;
             e.1 += cost;

@@ -56,11 +56,6 @@ impl Bus {
         done
     }
 
-    /// Unloaded end-to-end bus delay (fixed portion plus one transfer).
-    pub fn unloaded_delay(&self) -> u64 {
-        self.fixed_cycles.saturating_add(self.transfer_cycles)
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &BusStats {
         &self.stats
@@ -74,7 +69,6 @@ mod tests {
     #[test]
     fn unloaded_transfer_takes_44_cycles_at_baseline() {
         let mut b = Bus::new(28, 16);
-        assert_eq!(b.unloaded_delay(), 44);
         assert_eq!(b.schedule_transfer(400), 444);
     }
 

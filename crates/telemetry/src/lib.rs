@@ -57,7 +57,7 @@ pub use event::Event;
 pub use json::Json;
 pub use probe::{Enabled, NoProbe, Probe, SinkProbe};
 pub use registry::Registry;
-pub use sink::{read_ndjson, EventSink, FanoutSink, NdjsonSink, SinkHandle, VecSink};
+pub use sink::{read_ndjson, EventSink, FanoutSink, NdjsonSink, ServicedLog, SinkHandle, VecSink};
 pub use span::Span;
 pub use trace::{
     format_traceparent, parse_traceparent, CompletedTrace, FlightRecorder, SpanGuard, TraceCtx,

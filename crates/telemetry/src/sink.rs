@@ -118,6 +118,21 @@ impl EventSink for VecSink {
     }
 }
 
+/// Keeps only the `serviced` events, as `(line, mlp_cost)` in service
+/// order: a per-miss log that does not buffer the rest of the stream.
+#[derive(Default)]
+pub struct ServicedLog {
+    pub misses: Vec<(u64, f64)>,
+}
+
+impl EventSink for ServicedLog {
+    fn record(&mut self, ev: Event) {
+        if let Event::Serviced { line, cost, .. } = ev {
+            self.misses.push((line, cost));
+        }
+    }
+}
+
 /// Fan events out to several sinks — e.g. an NDJSON stream *and* a
 /// Chrome trace file from one `--telemetry --trace-out` run. Each sink
 /// receives its own clone of every event, in order.

@@ -5,8 +5,10 @@
 use mlpsim::cache::addr::{Geometry, LineAddr};
 use mlpsim::cache::belady::BeladyEngine;
 use mlpsim::cpu::{PolicyKind, System, SystemConfig};
+use mlpsim::telemetry::{ServicedLog, SinkHandle, SinkProbe};
 use mlpsim::trace::figure1::{figure1_lines, figure1_trace};
 use mlpsim::trace::spec::SpecBench;
+use std::sync::{Arc, Mutex};
 
 fn run_bench(bench: SpecBench, policy: PolicyKind, accesses: usize) -> mlpsim::cpu::SimResult {
     let trace = bench.generate(accesses, 42);
@@ -173,14 +175,16 @@ fn all_optional_substrates_compose() {
     cfg.wrong_path = Some(WrongPathConfig::baseline());
     cfg.prefetch = Some(PrefetchConfig { degree: 2 });
     cfg.sample_interval = Some(200_000);
-    cfg.collect_miss_log = true;
-    let r = System::new(cfg).run(trace.iter());
+    let log = Arc::new(Mutex::new(ServicedLog::default()));
+    let probe = SinkProbe::new(SinkHandle::shared(log.clone()));
+    let r = System::with_probe(cfg, probe).run(trace.iter());
+    let misses = std::mem::take(&mut log.lock().unwrap().misses);
     assert_eq!(r.instructions, trace.instructions());
     assert!(r.ipc() > 0.0 && r.ipc() <= 8.0);
     assert!(r.icache.accesses() > 0);
     assert!(r.wrong_path_accesses > 0);
     assert!(r.prefetches_issued > 0);
-    assert_eq!(r.miss_log.len() as u64, r.cost_hist.count());
+    assert_eq!(misses.len() as u64, r.cost_hist.count());
     assert!(!r.samples.is_empty());
 }
 

@@ -7,8 +7,10 @@ use mlpsim::cache::lru::LruEngine;
 use mlpsim::cache::model::CacheModel;
 use mlpsim::core::lin::LinEngine;
 use mlpsim::cpu::{PolicyKind, System, SystemConfig};
+use mlpsim::telemetry::{ServicedLog, SinkHandle, SinkProbe};
 use mlpsim::trace::record::{Access, AccessKind, Trace};
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 
 /// A compact random trace: lines from a small universe so reuse happens,
 /// gaps spanning the isolated/parallel boundary.
@@ -77,10 +79,10 @@ proptest! {
     /// slack] and the mean is positive when misses exist.
     #[test]
     fn cost_bounds(trace in arb_trace(300)) {
-        let mut cfg = SystemConfig::baseline(PolicyKind::Lru);
-        cfg.collect_miss_log = true;
-        let r = System::new(cfg).run(trace.iter());
-        for &(_, cost) in &r.miss_log {
+        let log = Arc::new(Mutex::new(ServicedLog::default()));
+        let probe = SinkProbe::new(SinkHandle::shared(log.clone()));
+        System::with_probe(SystemConfig::baseline(PolicyKind::Lru), probe).run(trace.iter());
+        for &(_, cost) in &log.lock().unwrap().misses {
             prop_assert!(cost > 0.0, "a serviced miss accrues time");
             // 512-line universe over 32 banks can conflict; even a fully
             // serialized 32-deep bank queue stays under 32 * 444.

@@ -12,8 +12,8 @@ use mlpsim::cache::addr::{Geometry, LineAddr};
 use mlpsim::cache::lru::LruEngine;
 use mlpsim::cache::policy::{ReplacementEngine, VictimCtx};
 use mlpsim::cache::tagstore::TagStore;
+use mlpsim::core::hybrid::{HybridEngine, SbarConfig};
 use mlpsim::core::lin::LinEngine;
-use mlpsim::core::sbar::{SbarConfig, SbarEngine};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -81,14 +81,15 @@ fn fill_set(tags: &mut TagStore, set: u32) {
 #[test]
 fn victim_selection_does_not_allocate() {
     let geometry = Geometry::baseline_l2();
-    let sbar = SbarEngine::new(geometry, SbarConfig::paper_default());
+    let sbar = HybridEngine::sbar(geometry, SbarConfig::paper_default());
+    let leaders = sbar.leaders().unwrap();
     // SBAR picks by set: LIN in a leader set, the PSEL choice (LRU at
     // start) in a follower set. Exercise one of each.
     let leader = (0..geometry.sets())
-        .find(|&s| sbar.leaders().is_leader(s))
+        .find(|&s| leaders.is_leader(s))
         .unwrap();
     let follower = (0..geometry.sets())
-        .find(|&s| !sbar.leaders().is_leader(s))
+        .find(|&s| !leaders.is_leader(s))
         .unwrap();
     let mut tags = TagStore::new(geometry);
     fill_set(&mut tags, leader);
