@@ -31,8 +31,7 @@
 
 use mlpsim_core::quant::quantize;
 use mlpsim_mem::Mshr;
-use mlpsim_telemetry::span::Span;
-use mlpsim_telemetry::{exact_share, LedgerKey, StallLedger};
+use mlpsim_telemetry::{exact_share, Event, LedgerKey, StallLedger};
 
 /// Identity captured when an MSHR slot is allocated: where the attributed
 /// cycles will land in the ledger.
@@ -189,10 +188,11 @@ impl AttribTracker {
     /// Closes the open span at `now`, folding any residual into the span
     /// head's key. `fallback_cost_q` supplies the head's bucket when its
     /// entry did not free within the span (e.g. a merged delayed hit whose
-    /// fill completed earlier). Returns the span for event emission.
+    /// fill completed earlier). Returns the span as its
+    /// [`Event::StallSpan`].
     ///
     /// The caller must [`AttribTracker::charge`] up to `now` first.
-    pub fn close(&mut self, now: u64, fallback_cost_q: u8) -> Span {
+    pub fn close(&mut self, now: u64, fallback_cost_q: u8) -> Event {
         debug_assert!(self.active, "close requires an open span");
         debug_assert!(
             self.last_cycle == now,
@@ -211,7 +211,7 @@ impl AttribTracker {
                 residual,
             );
         }
-        Span {
+        Event::StallSpan {
             begin: self.span_begin,
             end: now,
             line: self.span_line,
@@ -274,6 +274,16 @@ mod tests {
     use super::*;
     use mlpsim_cache::addr::LineAddr;
 
+    /// A closed span's `(length, cost_q)`.
+    fn len_and_cost_q(span: &Event) -> (u64, u8) {
+        match span {
+            Event::StallSpan {
+                begin, end, cost_q, ..
+            } => (end - begin, *cost_q),
+            other => panic!("close returned {other:?}"),
+        }
+    }
+
     fn mshr_with(demand_lines: &[u64]) -> Mshr {
         let mut m = Mshr::new(8);
         for &l in demand_lines {
@@ -293,9 +303,9 @@ mod tests {
         assert_eq!(charge.cycles, 444);
         assert_eq!(charge.set, 3);
         assert_eq!(charge.cost_q, 7);
-        let span = t.close(544, 0);
-        assert_eq!(span.len(), 444);
-        assert_eq!(span.cost_q, 7, "head free mid-span resolved the bucket");
+        let (len, cost_q) = len_and_cost_q(&t.close(544, 0));
+        assert_eq!(len, 444);
+        assert_eq!(cost_q, 7, "head free mid-span resolved the bucket");
         let ledger = t.finalize(&mshr);
         assert_eq!(ledger.total(), 444);
     }
@@ -328,8 +338,8 @@ mod tests {
         t.open(100, 5, 2, "lru", &empty);
         t.charge(&empty, 160);
         assert_eq!(t.residual_charge().map(|c| c.cycles), Some(60));
-        let span = t.close(160, 4);
-        assert_eq!(span.cost_q, 4, "fallback bucket when the head never freed");
+        let (_, cost_q) = len_and_cost_q(&t.close(160, 4));
+        assert_eq!(cost_q, 4, "fallback bucket when the head never freed");
         let ledger = t.finalize(&empty);
         assert_eq!(ledger.total(), 60);
         let (key, cycles) = ledger.iter().next().expect("one bucket");

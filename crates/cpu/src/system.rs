@@ -768,17 +768,18 @@ impl<P: Probe> System<P> {
         let span = tracker.close(self.now, 0);
         if let Some(c) = residual {
             // The residual lands under the span's resolved bucket (the
-            // head's cost_q when its entry freed mid-span).
+            // head's cost_q when its entry freed mid-span, else the
+            // fallback 0 both it and the span use).
             self.probe.emit(|| Event::StallAttrib {
                 cycle: self.now,
                 line: c.line,
                 set: c.set,
-                cost_q: span.cost_q,
-                policy: span.policy.clone(),
+                cost_q: c.cost_q,
+                policy: c.policy.to_string(),
                 cycles: c.cycles,
             });
         }
-        self.probe.emit(|| span.to_event());
+        self.probe.emit(|| span);
     }
 
     /// Moves time to `t`: services fills due by then, retires, samples.

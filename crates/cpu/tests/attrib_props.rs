@@ -6,7 +6,7 @@
 //! nothing architectural.
 
 use mlpsim_cpu::{PolicyKind, SimResult, System, SystemConfig};
-use mlpsim_telemetry::{Event, SinkHandle, SinkProbe, Span, StallLedger, VecSink};
+use mlpsim_telemetry::{Event, SinkHandle, SinkProbe, StallLedger, VecSink};
 use mlpsim_trace::record::{Access, Trace};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -74,11 +74,18 @@ proptest! {
 
         // Spans tile the memory-stall intervals: lengths sum to the total
         // and they never overlap (they are emitted in time order).
-        let spans = Span::collect(events.iter());
-        let span_cycles: u64 = spans.iter().map(Span::len).sum();
+        let spans: Vec<(u64, u64)> = events
+            .iter()
+            .filter_map(|ev| match ev {
+                Event::StallSpan { begin, end, .. } => Some((*begin, *end)),
+                _ => None,
+            })
+            .collect();
+        let span_cycles: u64 = spans.iter().map(|(begin, end)| end - begin).sum();
         prop_assert_eq!(span_cycles, r.mem_stall_cycles, "spans tile the stall time");
-        let intervals: Vec<(u64, u64)> = spans.iter().map(|s| (s.begin, s.end)).collect();
-        prop_assert!(mlpsim_telemetry::span::check_disjoint(&intervals).is_ok());
+        for pair in spans.windows(2) {
+            prop_assert!(pair[0].0 <= pair[0].1 && pair[0].1 <= pair[1].0, "{:?}", pair);
+        }
     }
 
     /// Observer transparency: attaching a probe (and with it the

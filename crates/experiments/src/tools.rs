@@ -11,7 +11,6 @@ use mlpsim_analysis::util::percent_improvement;
 use mlpsim_cpu::config::SystemConfig;
 use mlpsim_cpu::policy::PolicyKind;
 use mlpsim_cpu::system::System;
-use mlpsim_telemetry::span::check_disjoint;
 use mlpsim_telemetry::{Event, Json, ServicedLog, SinkHandle, SinkProbe};
 use mlpsim_trace::io::{read_trace, write_trace};
 use mlpsim_trace::record::{AccessKind, Trace};
@@ -304,6 +303,19 @@ pub fn trace_head(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
+/// Checks that `[begin, end)` intervals never overlap, in the order
+/// given; `Err` holds the index of the first offending interval.
+fn check_disjoint(intervals: &[(u64, u64)]) -> Result<(), usize> {
+    let mut prev_end = 0u64;
+    for (i, &(begin, end)) in intervals.iter().enumerate() {
+        if begin < prev_end || end < begin {
+            return Err(i);
+        }
+        prev_end = end;
+    }
+    Ok(())
+}
+
 fn read_trace_file(path: &str) -> Result<Trace, String> {
     File::open(path)
         .map_err(Into::into)
@@ -314,6 +326,13 @@ fn read_trace_file(path: &str) -> Result<Trace, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn disjoint_checker() {
+        assert_eq!(check_disjoint(&[(0, 5), (5, 9), (12, 12)]), Ok(()));
+        assert_eq!(check_disjoint(&[(0, 5), (4, 9)]), Err(1));
+        assert_eq!(check_disjoint(&[(3, 2)]), Err(0));
+    }
 
     #[test]
     fn trace_tools_round_trip_a_generated_file() {

@@ -1,4 +1,4 @@
-//! Trace characterization: everything the estimators need, extracted
+//! Trace characterization: everything the estimator needs, extracted
 //! from one read of the trace.
 //!
 //! For each (optionally L1-filtered) access the characterizer updates:
@@ -8,9 +8,7 @@
 //! - **per-set stack-distance profiles** at one or more reference set
 //!   counts, distances capped at [`SET_WAY_CAP`] — these make LRU miss
 //!   counts *exact* (not modeled) for any geometry whose set count
-//!   matches a reference and whose associativity is below the cap;
-//! - **per-line popularity counts** feeding the Zipf fit
-//!   ([`crate::zipf`]).
+//!   matches a reference and whose associativity is below the cap.
 //!
 //! The optional L1 filter matters because the simulator's L2 only sees
 //! L1 misses: running the same baseline L1 LRU model in front of the
@@ -21,8 +19,7 @@
 //! [`profile_trace`] runs in three phases, each a tight loop over flat
 //! arrays: filter the trace down to the characterized line stream;
 //! intern each line to a dense id in first-touch order; then walk the id
-//! stream through the global stack, the popularity counts and the
-//! per-set recency rows. The id stream costs 4 bytes per characterized
+//! stream through the global stack and the per-set recency rows. The id stream costs 4 bytes per characterized
 //! access, a quarter of the trace it came from; everything else is
 //! O(distinct lines + sets). A per-set profile keeps, per set, a
 //! move-to-front row of at most [`SET_WAY_CAP`] ids: a hit at position
@@ -39,7 +36,6 @@
 //! distance, so a profile is a pure function of the access sequence.
 
 use crate::stackdist::StackDist;
-use crate::zipf::{self, ZipfFit};
 use mlpsim_cache::addr::{Geometry, LineAddr, LineBuildHasher};
 use mlpsim_cache::lru::LruEngine;
 use mlpsim_cache::model::CacheModel;
@@ -47,8 +43,8 @@ use mlpsim_trace::record::{AccessKind, Trace};
 use std::collections::HashMap;
 
 /// Per-set stack distances are tracked exactly up to this many ways; an
-/// associativity at or above the cap falls back to the analytical
-/// estimators. 64 covers every geometry the sweeps use (the baseline L2
+/// associativity at or above the cap falls back to the estimator's
+/// associativity correction. 64 covers every geometry the sweeps use (the baseline L2
 /// is 16-way).
 pub const SET_WAY_CAP: usize = 64;
 
@@ -62,7 +58,7 @@ pub struct CharacterizeConfig {
     /// characterize its misses — the stream a downstream L2 would see.
     pub l1_filter: Option<Geometry>,
     /// Reference set counts for exact per-set LRU profiles. Empty
-    /// disables set profiling (the estimators then always use the
+    /// disables set profiling (the estimator then always uses the
     /// fully-associative histogram plus the associativity correction).
     pub set_profile_sets: Vec<u32>,
 }
@@ -84,7 +80,7 @@ impl CharacterizeConfig {
     }
 
     /// No filter, no set profiles: the raw reference stream's histogram
-    /// and popularity only (what the characterizer proptests pin down).
+    /// only (what the characterizer proptests pin down).
     pub fn unfiltered() -> Self {
         CharacterizeConfig {
             l1_filter: None,
@@ -148,7 +144,7 @@ impl ReuseHistogram {
 
     /// Collapse into ~64 log2 buckets (distance 0 alone in bucket 0),
     /// each carrying its exact within-bucket mean — the summary the
-    /// estimators iterate so scoring a cell is O(buckets), not
+    /// estimator iterates so scoring a cell is O(buckets), not
     /// O(distinct distances).
     pub fn buckets(&self) -> Vec<HistBucket> {
         let mut sums = [0.0f64; 66];
@@ -273,8 +269,6 @@ pub struct TraceProfile {
     /// Exact per-set LRU profiles, one per configured reference set
     /// count.
     pub set_profiles: Vec<SetLruProfile>,
-    /// Fitted power-law popularity curve.
-    pub zipf: ZipfFit,
     /// Whether an L1 filter ran in front of the characterizer.
     pub l1_filtered: bool,
     buckets: Vec<HistBucket>,
@@ -310,13 +304,11 @@ impl TraceProfile {
 /// Characterize a whole trace: filter, intern, walk (module docs).
 pub fn profile_trace(trace: &Trace, cfg: &CharacterizeConfig) -> TraceProfile {
     let (ids, line_of) = intern(characterized_lines(trace, cfg.l1_filter));
-    let mut popularity = vec![0u64; line_of.len()];
     // A stack distance is below the number of distinct lines.
     let mut counts = vec![0u64; line_of.len()];
     let mut global = StackDist::new();
     let mut cold = 0u64;
     for &id in &ids {
-        popularity[id as usize] += 1;
         match global.record(id) {
             Some(d) => counts[usize::try_from(d).expect("distance below distinct lines")] += 1,
             None => cold += 1,
@@ -340,7 +332,6 @@ pub fn profile_trace(trace: &Trace, cfg: &CharacterizeConfig) -> TraceProfile {
         distinct_lines: global.distinct(),
         hist,
         set_profiles,
-        zipf: zipf::fit(&popularity),
         l1_filtered: cfg.l1_filter.is_some(),
         buckets,
     }
@@ -409,7 +400,6 @@ mod tests {
         assert_eq!(p.hist.total() + p.cold, p.accesses);
         // Every reuse in a 40-line cycle has distance 39.
         assert_eq!(p.hist.mass_in(39, 40), 1960);
-        assert_eq!(p.zipf.total, 2000);
     }
 
     #[test]

@@ -13,15 +13,13 @@
 //!
 //! - [`characterize`]: a trace characterizer over dense line ids, built
 //!   on an exact Mattson stack ([`stackdist`]) — reuse-distance
-//!   histogram, per-set stack-distance profiles, and per-line popularity
-//!   counts feeding a Zipf fit ([`zipf`]).
-//! - [`estimate`]: two closed-form estimators over one characterization —
-//!   the reuse-distance model with a Poisson associativity correction
-//!   (after the ETH fully-associative cache model, arXiv:2001.01653) and
-//!   the Fagin/Berthet working-set approximation under a fitted power-law
-//!   popularity (arXiv:1705.10738). Each returns a predicted miss rate
-//!   *plus a stated error band*; the cross-validation suite holds them to
-//!   those bands against the real simulator.
+//!   histogram and per-set stack-distance profiles.
+//! - [`estimate`]: the reuse-distance model over one characterization,
+//!   exact where a per-set profile matches the geometry and
+//!   Poisson-corrected for associativity elsewhere (after the ETH
+//!   fully-associative cache model, arXiv:2001.01653). It returns a
+//!   predicted miss rate *plus a stated error band*; the cross-validation
+//!   suite holds it to that band against the real simulator.
 //! - [`plan`]: the estimate → prune decision rule the sweep planner
 //!   applies per matrix cell (`--plan estimate` / `--prune-margin`).
 //!
@@ -34,4 +32,3 @@ pub mod characterize;
 pub mod estimate;
 pub mod plan;
 pub mod stackdist;
-pub mod zipf;

@@ -29,7 +29,7 @@
 //! default to aggressiveness 1 (never pruned).
 
 use crate::characterize::TraceProfile;
-use crate::estimate::{Estimate, MissRateEstimator, ReuseDistEstimator};
+use crate::estimate::{Estimate, ReuseDistEstimator};
 use mlpsim_cache::addr::Geometry;
 
 /// Default `--prune-margin`: half a percent of predicted miss-rate

@@ -1,15 +1,13 @@
 #![allow(clippy::unwrap_used)] // test code: panics are failures, not bugs
 
-//! Property-based tests for the trace characterizer (ISSUE 10 satellite):
-//! histogram mass conservation, per-set stack distances permutation-
-//! consistent with `cache::lru`, and a deterministic, scale-invariant
-//! Zipf fit.
+//! Property-based tests for the trace characterizer: histogram mass
+//! conservation, and per-set stack distances permutation-consistent with
+//! `cache::lru`.
 
 use mlpsim_cache::addr::{Geometry, LineAddr};
 use mlpsim_cache::lru::LruEngine;
 use mlpsim_cache::model::CacheModel;
 use mlpsim_model::characterize::{profile_trace, CharacterizeConfig};
-use mlpsim_model::zipf;
 use mlpsim_trace::record::{Access, AccessKind, Trace};
 use proptest::prelude::*;
 
@@ -47,7 +45,6 @@ proptest! {
         prop_assert_eq!(p.cold, p.distinct_lines);
         let bucket_mass: u64 = p.buckets().iter().map(|b| b.count).sum();
         prop_assert_eq!(bucket_mass, p.hist.total());
-        prop_assert_eq!(p.zipf.total, p.accesses);
     }
 
     /// Per-set stack distances predict a real `cache::lru` model exactly:
@@ -71,23 +68,5 @@ proptest! {
         }
         let predicted = p.set_profile(sets).and_then(|sp| sp.lru_misses(ways));
         prop_assert_eq!(predicted, Some(cache.stats().misses));
-    }
-
-    /// The Zipf fit is deterministic (same input → bit-identical output)
-    /// and scale-invariant (scaling every count leaves α unchanged up to
-    /// float noise in the logs).
-    #[test]
-    fn zipf_fit_is_deterministic_and_scale_invariant(
-        counts in prop::collection::vec(1u64..100_000, 2..300),
-        scale in 2u64..1000,
-    ) {
-        let a = zipf::fit(&counts);
-        let b = zipf::fit(&counts);
-        prop_assert_eq!(a.alpha.to_bits(), b.alpha.to_bits());
-        prop_assert_eq!(a.r2.to_bits(), b.r2.to_bits());
-        let scaled: Vec<u64> = counts.iter().map(|&c| c * scale).collect();
-        let s = zipf::fit(&scaled);
-        prop_assert!((a.alpha - s.alpha).abs() < 1e-9, "{} vs {}", a.alpha, s.alpha);
-        prop_assert_eq!(a.distinct, s.distinct);
     }
 }

@@ -18,8 +18,9 @@ use std::time::Duration;
 /// megabyte leaves room for very long bench/policy lists).
 pub const MAX_BODY: usize = 1 << 20;
 
-/// Upper bound on the header section.
-const MAX_HEAD: usize = 64 * 1024;
+/// Upper bound on the request head: the request line plus the header
+/// section, read through a reader that stops here.
+const MAX_HEAD: u64 = 64 * 1024;
 
 /// One parsed request.
 #[derive(Debug)]
@@ -74,15 +75,19 @@ impl std::fmt::Display for HttpError {
 
 /// Read one request off an accepted socket. The caller must already have
 /// armed `set_read_timeout` (rule D6); a stalled client surfaces as
-/// [`HttpError::Io`] rather than a hung accept loop.
+/// [`HttpError::Io`] rather than a hung accept loop. The head is read
+/// through a reader capped at 64 KiB, so a client streaming
+/// bytes without a newline is refused once it passes the cap instead of
+/// growing a buffer for as long as it sends.
 ///
 /// # Errors
 ///
-/// [`HttpError`] on timeout, malformed framing, or an oversized body.
+/// [`HttpError`] on timeout, malformed framing (an oversized or
+/// non-UTF-8 head included), or an oversized body.
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line).map_err(HttpError::Io)?;
+    let mut head = Read::take(&mut reader, MAX_HEAD);
+    let line = head_line(&mut head)?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -94,14 +99,8 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     let path = target.split('?').next().unwrap_or("").to_string();
 
     let mut headers = Vec::new();
-    let mut head_bytes = line.len();
     loop {
-        let mut h = String::new();
-        reader.read_line(&mut h).map_err(HttpError::Io)?;
-        head_bytes += h.len();
-        if head_bytes > MAX_HEAD {
-            return Err(HttpError::Malformed("header section too large".into()));
-        }
+        let h = head_line(&mut head)?;
         let h = h.trim_end_matches(['\r', '\n']);
         if h.is_empty() {
             break;
@@ -132,6 +131,18 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
         headers,
         body,
     })
+}
+
+/// One line of the request head, newline included (absent only at end of
+/// stream). Running into the head's cap mid-line, or a line that is not
+/// UTF-8, is a malformed request.
+fn head_line(head: &mut io::Take<&mut BufReader<&mut TcpStream>>) -> Result<String, HttpError> {
+    let mut line = Vec::new();
+    head.read_until(b'\n', &mut line).map_err(HttpError::Io)?;
+    if !line.ends_with(b"\n") && head.limit() == 0 {
+        return Err(HttpError::Malformed("request head too large".into()));
+    }
+    String::from_utf8(line).map_err(|_| HttpError::Malformed("request head is not UTF-8".into()))
 }
 
 /// Reason phrase for the status codes this server emits.

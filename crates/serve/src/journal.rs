@@ -239,11 +239,10 @@ impl Journal {
         self.file.write_all(line.as_bytes())
     }
 
-    /// [`Journal::append`] recorded as a `journal_append` span on `trace`
-    /// (when one is in scope): the write-ahead append is a real, visible
-    /// phase of every traced request — the disk write sits between
-    /// admission and the queue, and a slow one shows up in the span tree
-    /// instead of vanishing into "queue wait".
+    /// [`Journal::append`] recorded as a `journal_append` span on `ctx`:
+    /// the write-ahead append is a real, visible phase of every job — the
+    /// disk write sits between admission and the queue, and a slow one
+    /// shows up in the span tree instead of vanishing into "queue wait".
     ///
     /// # Errors
     ///
@@ -252,11 +251,8 @@ impl Journal {
     pub fn append_traced(
         &mut self,
         op: &JournalOp,
-        trace: Option<&mlpsim_telemetry::TraceCtx>,
+        ctx: &mlpsim_telemetry::TraceCtx,
     ) -> std::io::Result<()> {
-        let Some(ctx) = trace else {
-            return self.append(op);
-        };
         let t0 = crate::host_ns();
         let out = self.append(op);
         let mut tags = vec![("op".to_string(), op.name().to_string())];

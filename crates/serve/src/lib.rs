@@ -31,9 +31,11 @@
 //!   live telemetry out to any number of stream readers, and the metrics
 //!   registry behind `GET /metrics`.
 //! - [`metrics`] — Prometheus text-exposition (0.0.4) rendering of those
-//!   metrics: `mlpsim_`-prefixed counters/gauges plus power-of-two
-//!   histograms of job wall time, queue wait, request latency, and
-//!   event-stream backlog.
+//!   metrics: `mlpsim_`-prefixed counters/gauges plus six power-of-two
+//!   histograms. Queue wait, job run time and estimate latency are the
+//!   durations of the spans of those names ([`metrics::SPAN_FAMILIES`]);
+//!   request latency, stream-write latency and event-stream backlog are
+//!   recorded directly.
 //! - [`server`] — the accept loop, route table, single-job scheduler,
 //!   deadline watchdogs, and graceful drain (stop admitting, finish the
 //!   in-flight job, leave queued jobs journaled for the next boot).

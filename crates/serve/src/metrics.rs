@@ -1,11 +1,17 @@
 //! Prometheus text-exposition rendering for the server's metrics.
 //!
-//! The registry's counters and gauges plus four operational histograms
+//! The registry's counters and gauges plus six operational histograms
 //! are rendered in [exposition format 0.0.4] — `# TYPE` lines, cumulative
 //! `_bucket{le="..."}` series ending in `+Inf`, and the `_sum`/`_count`
 //! pair — so a stock Prometheus scraper (or `curl | grep`) can consume
 //! `GET /metrics` directly. Everything is name-prefixed `mlpsim_` to keep
 //! the exported namespace collision-free.
+//!
+//! Three of the histograms are serve phases whose span is the record
+//! ([`SPAN_FAMILIES`]): the span's duration lands in the family when the
+//! span closes, so a trace explains one request and the family aggregates
+//! the same interval fleet-wide. The other three are recorded directly,
+//! because none of them is a span's duration.
 //!
 //! The histogram buckets reuse [`EpisodeHistogram`]'s power-of-two axis:
 //! episode lengths there, milliseconds / microseconds / line counts here.
@@ -37,40 +43,62 @@ pub fn escape_label_value(raw: &str) -> String {
     out
 }
 
+/// The one map from a serve phase's span to its histogram family, as
+/// `(span name, family, nanoseconds per recorded unit, access-log field
+/// carrying the span's duration in ms)`. A phase's host time has one
+/// record, the span; the family and the access log read its duration.
+pub const SPAN_FAMILIES: [(&str, &str, u64, &str); 3] = [
+    (
+        "queue_wait",
+        "mlpsim_job_queue_wait_ms",
+        1_000_000,
+        "queue_wait_ms",
+    ),
+    ("run", "mlpsim_job_wall_time_ms", 1_000_000, "run_ms"),
+    (
+        "estimate",
+        "mlpsim_estimate_duration_us",
+        1_000,
+        "estimate_ms",
+    ),
+];
+
 /// The operational histograms the server maintains. All land on the
-/// shared power-of-two axis; the unit lives in the metric name. The
-/// `request_phase_*` trio mirrors the span names in `/debug/traces`:
-/// a trace explains one request, these aggregate the same phases fleet-wide.
+/// shared power-of-two axis; the unit lives in the metric name.
 #[derive(Clone, Debug, Default)]
 pub struct Histograms {
-    /// Wall time of each executed job, milliseconds.
-    pub job_wall_time_ms: EpisodeHistogram,
-    /// Time each job spent queued before the scheduler took it,
-    /// milliseconds.
-    pub job_queue_wait_ms: EpisodeHistogram,
-    /// End-to-end handling latency of each HTTP request, microseconds.
+    /// One family per [`SPAN_FAMILIES`] entry, in table order.
+    spans: [EpisodeHistogram; SPAN_FAMILIES.len()],
+    /// End-to-end handling latency of each HTTP request, microseconds:
+    /// the response, not the root span, which an admitted job keeps open.
     pub http_request_duration_us: EpisodeHistogram,
     /// Lines delivered per event-stream flush — how far behind a
     /// `/jobs/:id/events` reader had fallen when it was woken.
     pub event_stream_backlog_lines: EpisodeHistogram,
-    /// Per-request `queue_wait` phase (submit → scheduler pickup),
-    /// milliseconds — same interval the trace span of that name covers.
-    pub request_phase_queue_wait_ms: EpisodeHistogram,
-    /// Per-request `run` phase (matrix execution), milliseconds.
-    pub request_phase_run_ms: EpisodeHistogram,
     /// Per-chunk `stream_write` flush latency on `/jobs/:id/events`,
-    /// microseconds.
+    /// microseconds (one span covers the whole stream).
     pub request_phase_stream_write_us: EpisodeHistogram,
-    /// End-to-end latency of each `/estimate` model evaluation (trace
-    /// profiling + cell scoring, no simulation), microseconds.
-    pub estimate_duration_us: EpisodeHistogram,
 }
 
 impl Histograms {
-    /// Iterate `(name, histogram)` for rendering, name order fixed.
-    fn families(&self) -> [(&'static str, &EpisodeHistogram); 8] {
-        [
-            ("mlpsim_estimate_duration_us", &self.estimate_duration_us),
+    /// Record a closed span's duration in its family, if its phase has
+    /// one.
+    pub fn record_span(&mut self, span: &str, dur_ns: u64) {
+        for (&(name, _, unit_ns, _), h) in SPAN_FAMILIES.iter().zip(&mut self.spans) {
+            if name == span {
+                h.record(dur_ns / unit_ns);
+            }
+        }
+    }
+
+    /// Every `(name, histogram)` for rendering, in name order.
+    fn families(&self) -> Vec<(&'static str, &EpisodeHistogram)> {
+        let mut all: Vec<_> = SPAN_FAMILIES
+            .iter()
+            .map(|&(_, family, _, _)| family)
+            .zip(&self.spans)
+            .collect();
+        all.extend([
             (
                 "mlpsim_event_stream_backlog_lines",
                 &self.event_stream_backlog_lines,
@@ -79,18 +107,13 @@ impl Histograms {
                 "mlpsim_http_request_duration_us",
                 &self.http_request_duration_us,
             ),
-            ("mlpsim_job_queue_wait_ms", &self.job_queue_wait_ms),
-            ("mlpsim_job_wall_time_ms", &self.job_wall_time_ms),
-            (
-                "mlpsim_request_phase_queue_wait_ms",
-                &self.request_phase_queue_wait_ms,
-            ),
-            ("mlpsim_request_phase_run_ms", &self.request_phase_run_ms),
             (
                 "mlpsim_request_phase_stream_write_us",
                 &self.request_phase_stream_write_us,
             ),
-        ]
+        ]);
+        all.sort_by_key(|&(name, _)| name);
+        all
     }
 }
 
@@ -168,9 +191,10 @@ mod tests {
     #[test]
     fn histogram_buckets_are_cumulative_and_close_at_inf() {
         let mut hists = Histograms::default();
-        hists.job_wall_time_ms.record(1);
-        hists.job_wall_time_ms.record(444);
-        hists.job_wall_time_ms.record(1 << 20);
+        for ms in [1, 444, 1 << 20] {
+            hists.record_span("run", ms * 1_000_000 + 999_999);
+        }
+        hists.record_span("parse", 5_000_000); // no family: not recorded
         let text = render(&Registry::new(), &hists);
         assert!(text.contains("# TYPE mlpsim_job_wall_time_ms histogram\n"));
         assert!(text.contains("mlpsim_job_wall_time_ms_bucket{le=\"2\"} 1\n"));
@@ -192,8 +216,6 @@ mod tests {
             "mlpsim_job_queue_wait_ms",
             "mlpsim_http_request_duration_us",
             "mlpsim_event_stream_backlog_lines",
-            "mlpsim_request_phase_queue_wait_ms",
-            "mlpsim_request_phase_run_ms",
             "mlpsim_request_phase_stream_write_us",
         ] {
             assert!(
@@ -202,5 +224,6 @@ mod tests {
             );
             assert!(text.contains(&format!("{family}_count 0\n")), "{family}");
         }
+        assert_eq!(text.matches(" histogram\n").count(), 6, "{text}");
     }
 }

@@ -186,21 +186,22 @@ impl Server {
 /// Execute jobs strictly in admission order until drain.
 fn scheduler_loop(state: &Arc<State>) {
     while let Some((id, spec, log, token, trace)) = state.take_next() {
-        let outcome = execute(&spec, &log, &token, trace.as_ref());
+        let outcome = execute(state, &spec, &log, &token, &trace);
         state.finish(id, outcome);
     }
 }
 
 /// Run one job: wire its telemetry to the event log, arm the deadline
-/// watchdog, execute through the shared `figures` run path. With a trace,
-/// the whole execution becomes a root-parented `run` span and every
-/// matrix cell a `run(cell=i,j)` child under it (timed on the worker
-/// threads via the exec span hook).
+/// watchdog, execute through the shared `figures` run path. The whole
+/// execution is a `run` span under the job's root, and every matrix cell
+/// a `run(cell=i,j)` child under it (timed on the worker threads via the
+/// exec span hook).
 fn execute(
+    state: &State,
     spec: &JobSpec,
     log: &Arc<EventLog>,
     token: &CancelToken,
-    trace: Option<&TraceCtx>,
+    trace: &TraceCtx,
 ) -> Result<String, JobStatus> {
     let _watchdog = spec.deadline_ms.map(|ms| {
         let token = token.clone();
@@ -220,27 +221,19 @@ fn execute(
         })
     });
     let telemetry = SinkHandle::of(LogSink(Arc::clone(log)));
-    // The `run` span's id is allocated up front so cell spans can parent
-    // under it while it is still open; the span itself is recorded once
-    // the sweep returns.
-    let run_span = trace.map(|ctx| (ctx.clone(), trace::next_span_id(), crate::host_ns()));
-    let cell_spans = run_span.as_ref().map(|(ctx, run_id, _)| {
-        let ctx = ctx.clone();
-        let run_id = *run_id;
-        CellSpanSink(std::sync::Arc::new(move |row, col, t0, t1| {
-            ctx.record_span(
-                &format!("run(cell={row},{col})"),
-                run_id,
-                t0,
-                t1,
-                Vec::new(),
-            );
-        }))
-    });
-    let result = spec.run_traced(telemetry, token, cell_spans);
-    if let Some((ctx, run_id, t0)) = run_span {
-        ctx.record_span_with_id(run_id, "run", ctx.parent, t0, crate::host_ns(), Vec::new());
-    }
+    let run = trace.child("run");
+    let ctx = run.ctx();
+    let cell_spans = CellSpanSink(Arc::new(move |row, col, t0, t1| {
+        ctx.record_span(
+            &format!("run(cell={row},{col})"),
+            ctx.parent,
+            t0,
+            t1,
+            Vec::new(),
+        );
+    }));
+    let result = spec.run_traced(telemetry, token, Some(cell_spans));
+    state.close_span(run);
     match result {
         // A fired token always reports Cancelled, even if the sweep
         // happened to finish first — the client asked for it to stop.
@@ -321,7 +314,7 @@ fn serve_request(
     // A write error means the client went away mid-response: 499.
     let status = route(stream, &req, state, &ctx, shutdown, cfg).unwrap_or(499);
     let dur_us = crate::host_ns().saturating_sub(t0_ns) / 1000;
-    state.observe_request(dur_us);
+    state.observe(|h| &mut h.http_request_duration_us, dur_us);
     if ctx.adopted() {
         // A job owns the trace now; log the HTTP exchange itself here
         // (the job's completion line comes later with the phase times).
@@ -390,7 +383,7 @@ fn route(
                     return respond_json(stream, 400, &err_json(&e));
                 }
             };
-            match state.submit(spec, Some(admission)) {
+            match state.submit(spec, admission) {
                 Ok(id) => {
                     let doc = Json::Obj(vec![
                         ("id".into(), Json::Num(id as f64)),
@@ -422,7 +415,6 @@ fn route(
             // can never mistake an estimate for a measured result. The
             // body is the same spec `/jobs` accepts, plus an optional
             // `prune_margin` field.
-            let est = ctx.child("estimate");
             let body = String::from_utf8_lossy(&req.body);
             let parsed = Json::parse(&body).map_err(|e| e.to_string()).and_then(|v| {
                 let margin = prune_margin_from_json(&v)?;
@@ -430,16 +422,15 @@ fn route(
             });
             let (spec, margin) = match parsed {
                 Ok(x) => x,
-                Err(e) => {
-                    drop(est);
-                    return respond_json(stream, 400, &err_json(&e));
-                }
+                Err(e) => return respond_json(stream, 400, &err_json(&e)),
             };
-            let t0 = crate::host_ns();
-            // A model bug that panics here becomes the connection's 500
+            // The `estimate` span covers the model evaluation alone; its
+            // duration is the estimate-latency histogram's sample. A model
+            // bug that panics here becomes the connection's 500
             // (`panic_boundary`), like a panic in any other route.
+            let est = ctx.child("estimate");
             let doc = spec.estimate_doc(margin);
-            state.observe_estimate(crate::host_ns().saturating_sub(t0) / 1000);
+            state.close_span(est);
             state.count("estimates_total");
             let summary = doc.get("summary");
             if let Some(cells) = summary.and_then(|s| s.get("cells")).and_then(Json::as_u64) {
@@ -448,7 +439,6 @@ fn route(
             if let Some(pruned) = summary.and_then(|s| s.get("pruned")).and_then(Json::as_u64) {
                 state.count_n("planner_cells_pruned_total", pruned);
             }
-            drop(est);
             respond_json(stream, 200, &doc)
         }
         ("GET", ["jobs"]) => respond_json(stream, 200, &state.list_json()),
@@ -496,28 +486,21 @@ fn route(
             None => respond_json(stream, 400, &err_json("job id wants an integer")),
         },
         ("GET", ["debug", "traces"]) => respond_json(stream, 200, &state.traces_json()),
-        ("GET", ["debug", "traces", id]) => match parse_trace_id(id) {
-            Some(tid) => match state.trace_json(tid, false) {
-                Some(doc) => respond_json(stream, 200, &doc),
-                None => respond_json(stream, 404, &err_json("no such trace (evicted or unknown)")),
-            },
-            None => respond_json(
-                stream,
-                400,
-                &err_json("trace id wants 32 lowercase hex digits"),
-            ),
-        },
-        ("GET", ["debug", "traces", id, "chrome"]) => match parse_trace_id(id) {
-            Some(tid) => match state.trace_json(tid, true) {
-                Some(doc) => respond_json(stream, 200, &doc),
-                None => respond_json(stream, 404, &err_json("no such trace (evicted or unknown)")),
-            },
-            None => respond_json(
-                stream,
-                400,
-                &err_json("trace id wants 32 lowercase hex digits"),
-            ),
-        },
+        ("GET", ["debug", "traces", id, format @ ..]) if matches!(format, [] | ["chrome"]) => {
+            match parse_trace_id(id) {
+                Some(tid) => match state.trace_json(tid, !format.is_empty()) {
+                    Some(doc) => respond_json(stream, 200, &doc),
+                    None => {
+                        respond_json(stream, 404, &err_json("no such trace (evicted or unknown)"))
+                    }
+                },
+                None => respond_json(
+                    stream,
+                    400,
+                    &err_json("trace id wants 32 lowercase hex digits"),
+                ),
+            }
+        }
         ("POST", ["drain"]) => {
             let _drain = ctx.child("drain");
             state.begin_drain();
@@ -551,7 +534,7 @@ fn stream_events(
         let (lines, done) = log.wait_from(cursor);
         cursor += lines.len();
         if !lines.is_empty() {
-            state.observe_backlog(lines.len() as u64);
+            state.observe(|h| &mut h.event_stream_backlog_lines, lines.len() as u64);
             total_lines += lines.len() as u64;
             let mut payload = String::new();
             for line in &lines {
@@ -560,7 +543,8 @@ fn stream_events(
             }
             let t0 = crate::host_ns();
             let wrote = w.chunk(payload.as_bytes());
-            state.observe_stream_write((crate::host_ns() - t0) / 1000);
+            let micros = (crate::host_ns() - t0) / 1000;
+            state.observe(|h| &mut h.request_phase_stream_write_us, micros);
             wrote?;
         }
         if done && lines.is_empty() {

@@ -11,6 +11,7 @@
 use crate::journal::{JobStatus, Journal, JournalOp, Recovered};
 use crate::log;
 use crate::metrics::{self, Histograms};
+use mlpsim_analysis::ephist::EpisodeHistogram;
 use mlpsim_exec::CancelToken;
 use mlpsim_experiments::jobspec::JobSpec;
 use mlpsim_telemetry::trace::{CompletedTrace, FlightRecorder, SpanGuard, TraceCtx};
@@ -214,17 +215,15 @@ pub struct Job {
     pub log: Arc<EventLog>,
     /// Cooperative cancellation token the executor checks per cell.
     pub cancel: CancelToken,
-    /// Host time ([`mlpsim_telemetry::prof::now_ns`] timebase) when the
-    /// job entered the queue — recovery counts as re-admission. It is the
-    /// `queue_wait` span's start on the job's trace.
-    pub submitted_ns: u64,
-    /// Host time when the scheduler took it, once running.
-    pub started_ns: Option<u64>,
-    /// The request trace that admitted this job, root-parented; the job's
-    /// lifecycle phases (queue wait, run, terminal journal append) land
-    /// on it and it completes when the job does. `None` for recovered
-    /// jobs (their admitting request died with the previous process).
-    pub trace: Option<TraceCtx>,
+    /// The job's trace, root-parented: the request trace that admitted it,
+    /// or a `recovered job <id>` trace opened at recovery. The lifecycle
+    /// phases (queue wait, run, journal appends) land on it and it
+    /// completes when the job reaches a terminal state in this process.
+    pub trace: TraceCtx,
+    /// The open `queue_wait` span while the job is queued: opened at
+    /// admission (or recovery), closed when the scheduler takes the job
+    /// or a cancel removes it.
+    queue_wait: Option<SpanGuard>,
 }
 
 /// Why a submission was not admitted.
@@ -260,8 +259,9 @@ pub struct State {
 
 impl State {
     /// Build state from a recovered journal: terminal jobs are re-served
-    /// from disk, queued/running jobs are re-enqueued in id order, and a
-    /// `done` job whose result file vanished is demoted back to queued.
+    /// from disk, queued/running jobs are re-enqueued in id order, each
+    /// on a fresh `recovered job <id>` trace, and a `done` job whose
+    /// result file vanished is demoted back to queued.
     ///
     /// # Errors
     ///
@@ -286,10 +286,15 @@ impl State {
             if status == JobStatus::Running {
                 status = JobStatus::Queued; // died mid-run: rerun
             }
+            // The admitting request died with the previous process, so
+            // the job opens its own trace. A job recovered terminal never
+            // publishes it: none of its phases run in this process.
+            let trace = TraceCtx::begin(&format!("recovered job {}", r.id), None);
             let terminal = status.is_terminal();
-            if !terminal {
+            let queue_wait = (!terminal).then(|| {
                 queue.push_back(r.id);
-            }
+                trace.child("queue_wait")
+            });
             jobs.insert(
                 r.id,
                 Job {
@@ -301,9 +306,8 @@ impl State {
                         EventLog::new()
                     },
                     cancel: CancelToken::new(),
-                    submitted_ns: crate::host_ns(),
-                    started_ns: None,
-                    trace: None,
+                    trace,
+                    queue_wait,
                 },
             );
             next_id = next_id.max(r.id + 1);
@@ -332,20 +336,20 @@ impl State {
         result_path(&self.data_dir, id)
     }
 
-    /// Admit a job: journal the submit write-ahead, then enqueue. With an
-    /// `admission` span (the admitting request's, under which the
-    /// `journal_append` span nests), the job *adopts* the trace: the
+    /// Admit a job: journal the submit write-ahead, then enqueue. The
+    /// `admission` span is the admitting request's (the `journal_append`
+    /// span nests under it); an admitted job *adopts* its trace: the
     /// request handler must not finish it — the trace runs until the job
     /// reaches a terminal state, so its root span covers accept → terminal
     /// and the `queue_wait`/`run` phases land inside. The admission span
-    /// closes here, before the job is queued, so `queue_wait` starts where
+    /// closes here, before the job is queued, so `queue_wait` opens where
     /// it ends and the root's children never overlap.
     ///
     /// # Errors
     ///
     /// [`SubmitError`] when draining, at capacity, or unjournalable.
-    pub fn submit(&self, spec: JobSpec, admission: Option<SpanGuard>) -> Result<u64, SubmitError> {
-        let trace = admission.as_ref().map(SpanGuard::ctx);
+    pub fn submit(&self, spec: JobSpec, admission: SpanGuard) -> Result<u64, SubmitError> {
+        let trace = admission.ctx();
         let mut inner = lock(&self.inner, Level::Jobs);
         if inner.draining {
             self.count("jobs_rejected_total");
@@ -362,18 +366,17 @@ impl State {
                     id,
                     spec: spec.to_json(),
                 },
-                trace.as_ref(),
+                &trace,
             )
             .map_err(|e| SubmitError::Journal(e.to_string()))?;
         inner.next_id += 1;
         inner.queue.push_back(id);
-        let adopted = trace.map(|ctx| {
-            // Adopt before the job is visible to the scheduler, so the
-            // handler and the scheduler cannot both finish the trace.
-            ctx.adopt();
-            ctx.at_root()
-        });
+        // Adopt before the job is visible to the scheduler, so the
+        // handler and the scheduler cannot both finish the trace.
+        trace.adopt();
+        let trace = trace.at_root();
         drop(admission);
+        let queue_wait = Some(trace.child("queue_wait"));
         inner.jobs.insert(
             id,
             Job {
@@ -381,9 +384,8 @@ impl State {
                 status: JobStatus::Queued,
                 log: EventLog::new(),
                 cancel: CancelToken::new(),
-                submitted_ns: crate::host_ns(),
-                started_ns: None,
-                trace: adopted,
+                trace,
+                queue_wait,
             },
         );
         drop(inner);
@@ -393,17 +395,13 @@ impl State {
         Ok(id)
     }
 
-    /// Scheduler side: block for the next queued job, journal its start,
-    /// mark it running, and hand back what the executor needs — including
-    /// the job's adopted trace, on which the measured `queue_wait` span is
-    /// recorded here (submit-time to dequeue, root-parented; the start's
-    /// `journal_append` follows it as a sibling). Returns `None`
-    /// once the server is draining (queued jobs stay journaled for the
-    /// next boot).
+    /// Scheduler side: block for the next queued job, close its
+    /// `queue_wait` span, journal its start (a sibling `journal_append`
+    /// span), mark it running, and hand back what the executor needs,
+    /// the job's trace included. Returns `None` once the server is
+    /// draining (queued jobs stay journaled for the next boot).
     #[allow(clippy::type_complexity)]
-    pub fn take_next(
-        &self,
-    ) -> Option<(u64, JobSpec, Arc<EventLog>, CancelToken, Option<TraceCtx>)> {
+    pub fn take_next(&self) -> Option<(u64, JobSpec, Arc<EventLog>, CancelToken, TraceCtx)> {
         let mut inner = lock(&self.inner, Level::Jobs);
         loop {
             if inner.draining {
@@ -413,44 +411,27 @@ impl State {
                 let Some(job) = inner.jobs.get_mut(&id) else {
                     continue; // cancelled-while-queued already removed it
                 };
-                let trace = job.trace.clone();
-                let taken_ns = crate::host_ns();
+                if let Some(span) = job.queue_wait.take() {
+                    self.close_span(span);
+                }
                 let start = lock(&self.journal, Level::Journal)
-                    .append_traced(&JournalOp::Start { id }, trace.as_ref());
+                    .append_traced(&JournalOp::Start { id }, &job.trace);
                 if let Err(e) = start {
                     job.status = JobStatus::Failed(format!("journal start failed: {e}"));
                     job.log.close();
-                    if let Some(ctx) = job.trace.take() {
-                        ctx.set_status(500);
-                        self.complete_trace(&ctx);
-                    }
+                    job.trace.set_status(500);
+                    self.complete_trace(&job.trace);
                     continue;
                 }
                 job.status = JobStatus::Running;
-                let started_ns = crate::host_ns();
-                job.started_ns = Some(started_ns);
-                let waited_ms = started_ns.saturating_sub(job.submitted_ns) / 1_000_000;
-                if let Some(ctx) = &trace {
-                    ctx.record_span(
-                        "queue_wait",
-                        ctx.parent,
-                        job.submitted_ns,
-                        taken_ns,
-                        Vec::new(),
-                    );
-                }
                 let out = (
                     id,
                     job.spec.clone(),
                     Arc::clone(&job.log),
                     job.cancel.clone(),
-                    trace,
+                    job.trace.clone(),
                 );
                 drop(inner);
-                let mut hists = lock(&self.hists, Level::Hists);
-                hists.job_queue_wait_ms.record(waited_ms);
-                hists.request_phase_queue_wait_ms.record(waited_ms);
-                drop(hists);
                 self.refresh_queue_gauge();
                 return Some(out);
             }
@@ -510,38 +491,28 @@ impl State {
             JobStatus::Cancelled => 499,
             _ => 500,
         };
-        let trace = lock(&self.inner, Level::Jobs)
+        let Some(trace) = lock(&self.inner, Level::Jobs)
             .jobs
             .get(&id)
-            .and_then(|j| j.trace.clone());
-        if let Err(e) = lock(&self.journal, Level::Journal).append_traced(&op, trace.as_ref()) {
+            .map(|j| j.trace.clone())
+        else {
+            return;
+        };
+        if let Err(e) = lock(&self.journal, Level::Journal).append_traced(&op, &trace) {
             // The in-memory state still advances; the next boot reruns it.
             log::server_event(
-                trace.as_ref().map(TraceCtx::trace_id_hex).as_deref(),
+                Some(&trace.trace_id_hex()),
                 "journal_append_failed",
                 &format!("journal append for job {id} failed: {e}"),
             );
         }
-        let mut inner = lock(&self.inner, Level::Jobs);
-        let mut finished_trace = None;
-        let ran_ms = inner.jobs.get_mut(&id).and_then(|job| {
+        if let Some(job) = lock(&self.inner, Level::Jobs).jobs.get_mut(&id) {
             job.status = status;
             job.log.close();
-            finished_trace = job.trace.take();
-            job.started_ns
-                .map(|t| crate::host_ns().saturating_sub(t) / 1_000_000)
-        });
-        drop(inner);
-        if let Some(ms) = ran_ms {
-            let mut hists = lock(&self.hists, Level::Hists);
-            hists.job_wall_time_ms.record(ms);
-            hists.request_phase_run_ms.record(ms);
         }
         self.count(metric);
-        if let Some(ctx) = finished_trace {
-            ctx.set_status(http_status);
-            self.complete_trace(&ctx);
-        }
+        trace.set_status(http_status);
+        self.complete_trace(&trace);
     }
 
     /// Cancel a job. Queued jobs transition immediately; running jobs get
@@ -555,10 +526,10 @@ impl State {
             JobStatus::Queued => {
                 let trace = job.trace.clone();
                 if let Err(e) = lock(&self.journal, Level::Journal)
-                    .append_traced(&JournalOp::Cancelled { id }, trace.as_ref())
+                    .append_traced(&JournalOp::Cancelled { id }, &trace)
                 {
                     log::server_event(
-                        trace.as_ref().map(TraceCtx::trace_id_hex).as_deref(),
+                        Some(&trace.trace_id_hex()),
                         "journal_append_failed",
                         &format!("journal append for job {id} failed: {e}"),
                     );
@@ -570,16 +541,17 @@ impl State {
                 let job = inner.jobs.get_mut(&id)?;
                 job.status = JobStatus::Cancelled;
                 job.log.close();
-                let cancelled_trace = job.trace.take();
+                let queue_wait = job.queue_wait.take();
                 drop(inner);
+                if let Some(span) = queue_wait {
+                    self.close_span(span);
+                }
                 self.count("jobs_cancelled_total");
                 self.refresh_queue_gauge();
-                if let Some(ctx) = cancelled_trace {
-                    // A cancelled-while-queued job never runs; its trace
-                    // ends here, pinned like every other cancellation.
-                    ctx.set_status(499);
-                    self.complete_trace(&ctx);
-                }
+                // A cancelled-while-queued job never runs; its trace ends
+                // here, pinned like every other cancellation.
+                trace.set_status(499);
+                self.complete_trace(&trace);
                 Some(JobStatus::Cancelled)
             }
             JobStatus::Running => {
@@ -632,40 +604,28 @@ impl State {
         lock(&self.metrics, Level::Metrics).incr(name, n);
     }
 
-    /// Record one `/estimate` model evaluation's latency.
-    pub fn observe_estimate(&self, micros: u64) {
-        lock(&self.hists, Level::Hists)
-            .estimate_duration_us
-            .record(micros);
+    /// Close a serve phase's span. A phase in
+    /// [`metrics::SPAN_FAMILIES`] also lands in its histogram family, with
+    /// the duration the trace records for it.
+    pub fn close_span(&self, span: SpanGuard) {
+        let phase = span.name().to_string();
+        let dur_ns = span.close();
+        lock(&self.hists, Level::Hists).record_span(&phase, dur_ns);
     }
 
-    /// Record one handled HTTP request's end-to-end latency.
-    pub fn observe_request(&self, micros: u64) {
-        lock(&self.hists, Level::Hists)
-            .http_request_duration_us
-            .record(micros);
-    }
-
-    /// Record how many event lines one stream flush delivered — the
-    /// reader's backlog at wake-up.
-    pub fn observe_backlog(&self, lines: u64) {
-        lock(&self.hists, Level::Hists)
-            .event_stream_backlog_lines
-            .record(lines);
-    }
-
-    /// Record how long one event-stream chunk write took.
-    pub fn observe_stream_write(&self, micros: u64) {
-        lock(&self.hists, Level::Hists)
-            .request_phase_stream_write_us
-            .record(micros);
+    /// Record one sample in a family that is not a span's duration
+    /// (request latency, stream-write latency, backlog lines); the
+    /// span-fed families go through [`State::close_span`].
+    pub fn observe(&self, family: fn(&mut Histograms) -> &mut EpisodeHistogram, value: u64) {
+        family(&mut lock(&self.hists, Level::Hists)).record(value);
     }
 
     /// Close a trace: publish it to the flight recorder, check the
     /// wall-time reconciliation invariant (the span tree must not
     /// double-book the measured total — the serving-path sibling of the
     /// stall ledger's exact reconciliation), and emit the structured
-    /// access-log line carrying the trace id and the phase durations.
+    /// access-log line carrying the trace id and the durations of the
+    /// [`metrics::SPAN_FAMILIES`] phases it contains.
     pub fn complete_trace(&self, ctx: &TraceCtx) -> Arc<CompletedTrace> {
         let done = ctx.finish(&self.recorder);
         debug_assert!(
@@ -674,13 +634,10 @@ impl State {
             done.trace_id_hex(),
             done.reconcile()
         );
-        let mut extra: Vec<(&str, f64)> = Vec::new();
-        if let Some(ns) = done.span_dur_ns("queue_wait") {
-            extra.push(("queue_wait_ms", ns as f64 / 1e6));
-        }
-        if let Some(ns) = done.span_dur_ns("run") {
-            extra.push(("run_ms", ns as f64 / 1e6));
-        }
+        let extra: Vec<(&str, f64)> = metrics::SPAN_FAMILIES
+            .iter()
+            .filter_map(|&(span, _, _, field)| Some((field, done.span_dur_ns(span)? as f64 / 1e6)))
+            .collect();
         log::access(
             &done.trace_id_hex(),
             &done.name,
@@ -727,7 +684,7 @@ impl State {
 
     /// The `GET /metrics` body: Prometheus text exposition 0.0.4 —
     /// `mlpsim_`-prefixed counters and gauges, a `build_info` gauge, and
-    /// the four operational histograms (see [`crate::metrics`]).
+    /// the six operational histograms (see [`crate::metrics`]).
     pub fn metrics_text(&self) -> String {
         self.refresh_queue_gauge();
         let m = lock(&self.metrics, Level::Metrics);
@@ -795,32 +752,36 @@ mod tests {
         JobSpec::parse(r#"{"kind":"fig5","accesses":100}"#).expect("literal spec")
     }
 
+    fn admission() -> SpanGuard {
+        TraceCtx::begin("POST /jobs", None).child("admission")
+    }
+
     #[test]
     fn queue_capacity_is_enforced() {
         let s = state(2);
-        assert_eq!(s.submit(spec(), None), Ok(1));
-        assert_eq!(s.submit(spec(), None), Ok(2));
-        assert_eq!(s.submit(spec(), None), Err(SubmitError::Full));
+        assert_eq!(s.submit(spec(), admission()), Ok(1));
+        assert_eq!(s.submit(spec(), admission()), Ok(2));
+        assert_eq!(s.submit(spec(), admission()), Err(SubmitError::Full));
         // Scheduler takes one; a slot frees up.
         let (id, ..) = s.take_next().expect("job queued");
         assert_eq!(id, 1);
-        assert_eq!(s.submit(spec(), None), Ok(3));
+        assert_eq!(s.submit(spec(), admission()), Ok(3));
     }
 
     #[test]
     fn draining_refuses_submissions_and_stops_scheduler() {
         let s = state(8);
-        s.submit(spec(), None).expect("admitted");
+        s.submit(spec(), admission()).expect("admitted");
         s.begin_drain();
-        assert_eq!(s.submit(spec(), None), Err(SubmitError::Draining));
+        assert_eq!(s.submit(spec(), admission()), Err(SubmitError::Draining));
         assert!(s.take_next().is_none(), "queued job stays journaled");
     }
 
     #[test]
     fn queued_cancel_removes_from_queue() {
         let s = state(8);
-        let a = s.submit(spec(), None).expect("admitted");
-        let b = s.submit(spec(), None).expect("admitted");
+        let a = s.submit(spec(), admission()).expect("admitted");
+        let b = s.submit(spec(), admission()).expect("admitted");
         assert_eq!(s.cancel(a), Some(JobStatus::Cancelled));
         assert_eq!(s.cancel(a), Some(JobStatus::Cancelled), "idempotent");
         let (next, ..) = s.take_next().expect("remaining job");
@@ -830,7 +791,7 @@ mod tests {
     #[test]
     fn running_cancel_fires_the_token() {
         let s = state(8);
-        let id = s.submit(spec(), None).expect("admitted");
+        let id = s.submit(spec(), admission()).expect("admitted");
         let (_, _, _, token, _) = s.take_next().expect("job");
         assert!(!token.is_cancelled());
         assert_eq!(s.cancel(id), Some(JobStatus::Running));
@@ -854,7 +815,7 @@ mod tests {
     #[test]
     fn metrics_text_lists_counters_and_gauges() {
         let s = state(4);
-        s.submit(spec(), None).expect("admitted");
+        s.submit(spec(), admission()).expect("admitted");
         let text = s.metrics_text();
         assert!(text.contains("mlpsim_jobs_submitted_total 1"), "{text}");
         assert!(text.contains("mlpsim_queue_depth 1"), "{text}");
@@ -867,12 +828,14 @@ mod tests {
     #[test]
     fn lifecycle_populates_latency_histograms() {
         let s = state(4);
-        let id = s.submit(spec(), None).expect("admitted");
-        let (taken, ..) = s.take_next().expect("job queued");
+        let id = s.submit(spec(), admission()).expect("admitted");
+        let (taken, _, _, _, trace) = s.take_next().expect("job queued");
         assert_eq!(taken, id);
+        // The executor's span: closing it feeds the wall-time family.
+        s.close_span(trace.child("run"));
         s.finish(id, Ok("report\n".into()));
-        s.observe_request(1234);
-        s.observe_backlog(7);
+        s.observe(|h| &mut h.http_request_duration_us, 1234);
+        s.observe(|h| &mut h.event_stream_backlog_lines, 7);
         let text = s.metrics_text();
         assert!(text.contains("mlpsim_job_queue_wait_ms_count 1"), "{text}");
         assert!(text.contains("mlpsim_job_wall_time_ms_count 1"), "{text}");

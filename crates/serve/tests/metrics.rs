@@ -8,6 +8,7 @@
 
 use mlpsim_serve::client;
 use mlpsim_serve::{Server, ServerConfig};
+use mlpsim_telemetry::Json;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -113,6 +114,32 @@ fn parse_histograms(text: &str) -> BTreeMap<String, Family> {
     families
 }
 
+/// `name → dur_us` of a retained trace's spans (first span of each
+/// name). A job's trace publishes just after its status flips terminal,
+/// so the lookup polls briefly.
+fn span_durations_us(url: &str, trace_id: &str) -> BTreeMap<String, u64> {
+    let doc = (0..50)
+        .find_map(|_| {
+            client::trace(url, trace_id, false).ok().or_else(|| {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                None
+            })
+        })
+        .expect("trace retained in the flight recorder");
+    let spans = match doc.get("spans") {
+        Some(Json::Arr(spans)) => Some(spans),
+        _ => None,
+    }
+    .expect("trace carries a spans array");
+    let mut out = BTreeMap::new();
+    for s in spans {
+        let name = s.get("name").and_then(Json::as_str).unwrap().to_string();
+        let dur = s.get("dur_us").and_then(Json::as_u64).unwrap();
+        out.entry(name).or_insert(dur);
+    }
+    out
+}
+
 #[test]
 fn scraped_metrics_are_valid_prometheus_exposition() {
     let dir = tmp_dir("scrape");
@@ -120,13 +147,30 @@ fn scraped_metrics_are_valid_prometheus_exposition() {
 
     // Run one real job so the wall-time and queue-wait histograms have a
     // sample, and stream its events so the backlog histogram does too.
-    let id = client::submit(&srv.url, r#"{"kind":"fig5","accesses":1200}"#).expect("submitted");
+    let (id, trace_id) =
+        client::submit_traced(&srv.url, r#"{"kind":"fig5","accesses":1200}"#, None)
+            .expect("submitted");
     let mut streamed = Vec::new();
     client::watch(&srv.url, id, &mut |chunk| {
         streamed.extend_from_slice(chunk);
     })
     .expect("watched");
     assert_eq!(client::wait(&srv.url, id).expect("waited"), "done");
+    // One estimate, traced under a known id, feeds the estimate family.
+    let estimate_trace = "0af7651916cd43dd8448eb211c80319c";
+    let resp = client::request_with_headers(
+        &srv.url,
+        "POST",
+        "/estimate",
+        Some(br#"{"kind":"sweep","benches":["mcf"],"policies":["lru"],"accesses":1200}"#),
+        &[(
+            "traceparent",
+            &format!("00-{estimate_trace}-b7ad6b7169203331-01"),
+        )],
+        None,
+    )
+    .expect("estimated");
+    assert_eq!(resp.status, 200, "{}", resp.text());
 
     let resp = client::request(&srv.url, "GET", "/metrics", None, None).expect("scraped");
     assert_eq!(resp.status, 200);
@@ -181,6 +225,32 @@ fn scraped_metrics_are_valid_prometheus_exposition() {
     assert_eq!(families["mlpsim_job_queue_wait_ms"].count, Some(1));
     assert!(families["mlpsim_http_request_duration_us"].count.unwrap() >= 2);
     assert!(families["mlpsim_event_stream_backlog_lines"].count.unwrap() >= 1);
+
+    // A span-fed family's sample is its span's duration: the sums equal
+    // the job trace's `queue_wait` and `run` spans in whole ms, and the
+    // estimate trace's `estimate` span in whole us.
+    let job_spans = span_durations_us(&srv.url, &trace_id);
+    assert_eq!(
+        families["mlpsim_job_queue_wait_ms"].sum,
+        Some(job_spans["queue_wait"] / 1000)
+    );
+    assert_eq!(
+        families["mlpsim_job_wall_time_ms"].sum,
+        Some(job_spans["run"] / 1000)
+    );
+    let estimate_spans = span_durations_us(&srv.url, estimate_trace);
+    assert_eq!(families["mlpsim_estimate_duration_us"].count, Some(1));
+    assert_eq!(
+        families["mlpsim_estimate_duration_us"].sum,
+        Some(estimate_spans["estimate"])
+    );
+    // The phase families that duplicated those spans are gone.
+    assert!(
+        !text.contains("mlpsim_request_phase_queue_wait_ms"),
+        "{text}"
+    );
+    assert!(!text.contains("mlpsim_request_phase_run_ms"), "{text}");
+    assert_eq!(families.len(), 6, "{text}");
 
     srv.stop();
     let _ = std::fs::remove_dir_all(&dir);

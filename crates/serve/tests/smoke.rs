@@ -236,6 +236,75 @@ fn full_queue_backpressures_with_retry_after() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Writes `raw` on a fresh connection that stays open, and returns what
+/// the server sent back before it closed. A reset after the reply is
+/// expected: the server stops reading at its cap and closes with bytes
+/// unread.
+fn raw_exchange(url: &str, raw: &[u8]) -> String {
+    use std::io::{Read, Write};
+    let mut s = std::net::TcpStream::connect(client::host_of(url)).unwrap();
+    s.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    s.write_all(raw).unwrap();
+    let mut reply = Vec::new();
+    let mut buf = [0u8; 4096];
+    while let Ok(n) = s.read(&mut buf) {
+        if n == 0 {
+            break;
+        }
+        reply.extend_from_slice(&buf[..n]);
+    }
+    String::from_utf8_lossy(&reply).into_owned()
+}
+
+/// One trace named for an unparseable request is retained.
+fn assert_one_refusal_traced(url: &str) {
+    let traces = match client::traces(url) {
+        Ok(Json::Arr(traces)) => Some(traces),
+        _ => None,
+    }
+    .expect("the trace listing is an array");
+    let refused = traces
+        .iter()
+        .filter(|t| t.get("name").and_then(Json::as_str) == Some("(unparseable request)"))
+        .count();
+    assert_eq!(refused, 1);
+}
+
+#[test]
+fn a_head_without_a_newline_past_the_cap_gets_a_400() {
+    let dir = tmp_dir("head-cap");
+    let srv = TestServer::start(&dir, 8);
+
+    // 70 KiB without a newline, on a socket the client keeps open: the
+    // server must refuse at its 64 KiB head cap, not wait for a newline.
+    let mut raw = b"GET /".to_vec();
+    raw.resize(70 * 1024, b'a');
+    let reply = raw_exchange(&srv.url, &raw);
+    assert!(reply.starts_with("HTTP/1.1 400"), "{reply:?}");
+    assert!(reply.contains("request head too large"), "{reply:?}");
+    assert_one_refusal_traced(&srv.url);
+
+    srv.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_non_utf8_header_gets_a_400() {
+    let dir = tmp_dir("head-utf8");
+    let srv = TestServer::start(&dir, 8);
+
+    // Byte 0xFF in a header is a malformed request, not a dropped
+    // connection.
+    let reply = raw_exchange(&srv.url, b"GET /healthz HTTP/1.1\r\nX-Bad: \xff\r\n\r\n");
+    assert!(reply.starts_with("HTTP/1.1 400"), "{reply:?}");
+    assert!(reply.contains("not UTF-8"), "{reply:?}");
+    assert_one_refusal_traced(&srv.url);
+
+    srv.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn drain_preserves_queued_jobs_and_restart_resumes_them() {
     let dir = tmp_dir("resume");
@@ -285,6 +354,37 @@ fn drain_preserves_queued_jobs_and_restart_resumes_them() {
     assert!(client::result(&srv.url, queued)
         .expect("result")
         .contains("Sweep"));
+
+    // Each job resumed here ran on a trace of its own: it is in
+    // /debug/traces (published just after the status flips, so poll) and
+    // in both job histograms. `running` resumes too if the drain came
+    // before the scheduler took it.
+    let want = format!("recovered job {queued}");
+    let recovered = (0..50)
+        .find_map(|_| {
+            let Ok(Json::Arr(traces)) = client::traces(&srv.url) else {
+                return None;
+            };
+            let names: Vec<String> = traces
+                .iter()
+                .filter_map(|t| t.get("name").and_then(Json::as_str))
+                .filter(|n| n.starts_with("recovered job "))
+                .map(str::to_string)
+                .collect();
+            if names.contains(&want) {
+                return Some(names);
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            None
+        })
+        .expect("the resumed job's trace is retained");
+    let text = client::metrics(&srv.url).expect("metrics");
+    for family in ["mlpsim_job_queue_wait_ms", "mlpsim_job_wall_time_ms"] {
+        assert!(
+            text.contains(&format!("{family}_count {}\n", recovered.len())),
+            "{recovered:?} vs {text}"
+        );
+    }
 
     srv.stop();
     let _ = std::fs::remove_dir_all(&dir);

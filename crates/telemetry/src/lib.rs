@@ -31,11 +31,11 @@
 //! running totals.
 
 //!
-//! On top of the stream sit the attribution types ([`attrib`], [`span`]):
-//! the stall-cycle ledger keyed by (set, cost_q, policy) whose grand
-//! total reconciles exactly with `mem_stall_cycles`, and the stall-span
-//! interval form. [`traceevent`] renders MSHR slot occupancy and stall
-//! spans as Chrome trace-event JSON for `chrome://tracing`/Perfetto.
+//! On top of the stream sits the attribution ledger ([`attrib`]): stall
+//! cycles keyed by (set, cost_q, policy), whose grand total reconciles
+//! exactly with `mem_stall_cycles`. A stall span's one record is its
+//! [`Event::StallSpan`]. [`traceevent`] renders MSHR slot occupancy and
+//! stall spans as Chrome trace-event JSON for `chrome://tracing`/Perfetto.
 //!
 //! Host time has exactly one entry point, the [`prof::now_ns`] clock
 //! shim; per-layer host timing of the simulator is `perfbench`'s traced
@@ -48,7 +48,6 @@ pub mod probe;
 pub mod prof;
 pub mod registry;
 pub mod sink;
-pub mod span;
 pub mod trace;
 pub mod traceevent;
 
@@ -58,7 +57,6 @@ pub use json::Json;
 pub use probe::{Enabled, NoProbe, Probe, SinkProbe};
 pub use registry::Registry;
 pub use sink::{read_ndjson, EventSink, FanoutSink, NdjsonSink, ServicedLog, SinkHandle, VecSink};
-pub use span::Span;
 pub use trace::{
     format_traceparent, parse_traceparent, CompletedTrace, FlightRecorder, SpanGuard, TraceCtx,
 };

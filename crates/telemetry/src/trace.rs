@@ -13,11 +13,14 @@
 //!   format (`00-<32 hex>-<16 hex>-<2 hex>`). An incoming header is
 //!   honored — the server continues the caller's trace — which is the
 //!   contract a future sharded coordinator/worker tier needs.
-//! - **Span recording** ([`SpanGuard`], [`TraceCtx::record_span`]): RAII
-//!   guards for same-thread phases, explicit timestamped records for
-//!   cross-thread phases (queue wait, worker-pool cells). Timing uses
-//!   [`prof::now_ns`] exclusively, so rule D2 keeps its single-shim
-//!   guarantee.
+//! - **Span recording** ([`SpanGuard`], [`TraceCtx::record_span`]): guards
+//!   for phases that open and close in the serving code (a guard may cross
+//!   threads: a job's `queue_wait` opens at admission and closes on the
+//!   scheduler), explicit timestamped records for the worker-pool cells.
+//!   [`SpanGuard::close`] hands back the duration the trace records, so a
+//!   caller that also keeps a histogram of the phase feeds it from the
+//!   same two timestamps. Timing uses [`prof::now_ns`] exclusively, so
+//!   rule D2 keeps its single-shim guarantee.
 //! - **The flight recorder** ([`FlightRecorder`]): a bounded ring of the
 //!   last N completed traces, with error/backpressure/cancel traces pinned
 //!   in a separate ring so a burst of healthy traffic cannot evict the
@@ -171,7 +174,6 @@ struct TraceInner {
     /// Parent span the trace inherited from an incoming `traceparent`
     /// (0 when the trace originated here).
     upstream: u64,
-    flags: u8,
     name: String,
     start_ns: u64,
     status: AtomicU64,
@@ -206,16 +208,15 @@ impl TraceCtx {
     /// stamps `start_ns` before reading the socket, so the root span
     /// covers the read).
     pub fn begin_at(name: &str, inherited: Option<(u128, u64, u8)>, start_ns: u64) -> TraceCtx {
-        let (trace_id, upstream, flags) = match inherited {
-            Some((t, p, f)) => (t, p, f),
-            None => (next_trace_id(), 0, FLAG_SAMPLED),
+        let (trace_id, upstream) = match inherited {
+            Some((t, p, _flags)) => (t, p),
+            None => (next_trace_id(), 0),
         };
         let root = next_span_id();
         let inner = TraceInner {
             trace_id,
             root,
             upstream,
-            flags,
             name: name.to_string(),
             start_ns,
             status: AtomicU64::new(0),
@@ -227,11 +228,6 @@ impl TraceCtx {
             inner: Arc::new(inner),
             parent: root,
         }
-    }
-
-    /// This trace's 128-bit id.
-    pub fn trace_id(&self) -> u128 {
-        self.inner.trace_id
     }
 
     /// The id of the root span.
@@ -254,30 +250,15 @@ impl TraceCtx {
         format!("{:032x}", self.inner.trace_id)
     }
 
-    /// When the trace started, [`prof::now_ns`] timebase.
-    pub fn start_ns(&self) -> u64 {
-        self.inner.start_ns
-    }
-
-    /// The `traceparent` value to propagate downstream from this context
-    /// (current parent span as the parent id).
-    pub fn traceparent(&self) -> String {
-        format_traceparent(self.inner.trace_id, self.parent, self.inner.flags)
-    }
-
     /// Record the final status (HTTP status code, or the job-outcome
-    /// mapping the serve tier uses).
+    /// mapping the serve tier uses). A status of 400 or above pins the
+    /// trace for preferential retention (errors, 429s, deadline kills,
+    /// cancellations).
     pub fn set_status(&self, status: u16) {
         self.inner.status.store(u64::from(status), Ordering::SeqCst);
         if status >= 400 {
-            self.pin();
+            self.inner.pinned.store(true, Ordering::SeqCst);
         }
-    }
-
-    /// Mark the trace for preferential retention (errors, 429s,
-    /// deadline kills, cancellations).
-    pub fn pin(&self) {
-        self.inner.pinned.store(true, Ordering::SeqCst);
     }
 
     /// Hand completion duty to a longer-lived owner (a submitted job).
@@ -302,14 +283,15 @@ impl TraceCtx {
             attach_to: self.parent,
             name: name.to_string(),
             start_ns: host_ns(),
+            end_ns: None,
             tags: Vec::new(),
         }
     }
 
-    /// Record a span from explicit timestamps — the cross-thread form
-    /// used for queue wait (measured submit→take) and worker-pool cells.
-    /// Returns the new span's id so callers can parent further records
-    /// under it.
+    /// Record a span from explicit timestamps — the form used for spans
+    /// timed elsewhere (worker-pool cells, the request parse that precedes
+    /// the context). Returns the new span's id so callers can parent
+    /// further records under it.
     pub fn record_span(
         &self,
         name: &str,
@@ -323,10 +305,7 @@ impl TraceCtx {
         id
     }
 
-    /// [`TraceCtx::record_span`] with a caller-allocated id (used when the
-    /// id must exist before the span ends, e.g. the `run` span whose cell
-    /// children are recorded while it is still open).
-    pub fn record_span_with_id(
+    fn record_span_with_id(
         &self,
         id: u64,
         name: &str,
@@ -381,26 +360,36 @@ impl TraceCtx {
     }
 }
 
-/// RAII child span: times `name` from construction to drop on the same
-/// thread, then records it into the trace.
+/// RAII child span: times `name` from construction to [`SpanGuard::close`]
+/// or drop, then records it into the trace.
 pub struct SpanGuard {
     ctx: TraceCtx,
     attach_to: u64,
     name: String,
     start_ns: u64,
+    /// Set by [`SpanGuard::close`]; a dropped guard ends when it drops.
+    end_ns: Option<u64>,
     tags: Vec<(String, String)>,
 }
 
 impl SpanGuard {
+    /// The phase name this span records under.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Close the span now and return its duration in nanoseconds — the
+    /// `dur_ns` the trace records for it.
+    pub fn close(mut self) -> u64 {
+        let end_ns = host_ns();
+        self.end_ns = Some(end_ns);
+        end_ns.saturating_sub(self.start_ns)
+    }
+
     /// A context whose children attach under this span — pass it down to
     /// nest further work inside the guarded phase.
     pub fn ctx(&self) -> TraceCtx {
         self.ctx.clone()
-    }
-
-    /// This span's id.
-    pub fn span_id(&self) -> u64 {
-        self.ctx.parent
     }
 
     /// Attach a key/value annotation.
@@ -416,7 +405,7 @@ impl Drop for SpanGuard {
             &self.name,
             self.attach_to,
             self.start_ns,
-            host_ns(),
+            self.end_ns.unwrap_or_else(host_ns),
             std::mem::take(&mut self.tags),
         );
     }
@@ -503,8 +492,8 @@ impl CompletedTrace {
         }
     }
 
-    /// Duration of the first span with `name`, if present (metrics wiring
-    /// reads `queue_wait`/`run` out of completed job traces).
+    /// Duration of the first span with `name`, if present (the access log
+    /// reads the serve phases out of completed traces).
     pub fn span_dur_ns(&self, name: &str) -> Option<u64> {
         self.spans.iter().find(|s| s.name == name).map(|s| s.dur_ns)
     }
@@ -635,15 +624,13 @@ impl Ring {
     }
 }
 
-/// The in-memory flight recorder: the last [`FlightRecorder::recent_capacity`]
-/// completed traces plus a separate pinned ring for error/429/deadline/
+/// The in-memory flight recorder: the most recent completed traces plus
+/// a separate pinned ring for error/429/deadline/
 /// cancel traces, so failures survive a burst of healthy traffic. Total
 /// retention never exceeds the sum of the two capacities.
 pub struct FlightRecorder {
     recent: Ring,
     pinned: Ring,
-    recent_cap: usize,
-    pinned_cap: usize,
 }
 
 /// Default retention of healthy traces.
@@ -664,19 +651,7 @@ impl FlightRecorder {
         FlightRecorder {
             recent: Ring::new(recent),
             pinned: Ring::new(pinned),
-            recent_cap: recent.max(1),
-            pinned_cap: pinned.max(1),
         }
-    }
-
-    /// Healthy-ring capacity.
-    pub fn recent_capacity(&self) -> usize {
-        self.recent_cap
-    }
-
-    /// Pinned-ring capacity.
-    pub fn pinned_capacity(&self) -> usize {
-        self.pinned_cap
     }
 
     /// Publish one completed trace (called once per finished trace; the
@@ -691,7 +666,7 @@ impl FlightRecorder {
 
     /// Every retained trace, newest first (pinned and recent merged).
     pub fn snapshot(&self) -> Vec<Arc<CompletedTrace>> {
-        let mut out = Vec::with_capacity(self.recent_cap + self.pinned_cap);
+        let mut out = Vec::with_capacity(self.recent.slots.len() + self.pinned.slots.len());
         self.recent.snapshot_into(&mut out);
         self.pinned.snapshot_into(&mut out);
         out.sort_by(|a, b| {
@@ -759,7 +734,7 @@ mod tests {
         let parent_id;
         {
             let outer = ctx.child("outer");
-            parent_id = outer.span_id();
+            parent_id = outer.ctx().parent;
             {
                 let mut inner = outer.ctx().child("inner");
                 inner.tag("k", "v");
@@ -781,11 +756,20 @@ mod tests {
     }
 
     #[test]
+    fn closed_span_records_the_duration_it_returns() {
+        let ctx = TraceCtx::begin("POST /jobs", None);
+        let span = ctx.child("queue_wait");
+        assert_eq!(span.name(), "queue_wait");
+        let dur_ns = span.close();
+        let done = ctx.finish(&FlightRecorder::new(2, 2));
+        assert_eq!(done.span_dur_ns("queue_wait"), Some(dur_ns));
+    }
+
+    #[test]
     fn inherited_context_keeps_the_upstream_ids() {
         let tp = format_traceparent(7, 9, 1);
         let parsed = parse_traceparent(&tp);
         let ctx = TraceCtx::begin("POST /jobs", parsed);
-        assert_eq!(ctx.trace_id(), 7);
         let rec = FlightRecorder::new(2, 2);
         let done = ctx.finish(&rec);
         assert_eq!(done.trace_id, 7);
@@ -808,13 +792,7 @@ mod tests {
             ctx.finish(&rec);
         }
         let snap = rec.snapshot();
-        assert!(
-            snap.len() <= rec.recent_capacity() + rec.pinned_capacity(),
-            "{} traces retained, caps {}+{}",
-            snap.len(),
-            rec.recent_capacity(),
-            rec.pinned_capacity()
-        );
+        assert!(snap.len() <= 4 + 2, "{} traces retained", snap.len());
         let pinned: Vec<_> = snap.iter().filter(|t| t.pinned).collect();
         assert_eq!(pinned.len(), 2, "both early failures survive wraparound");
         assert!(pinned.iter().all(|t| t.status == 500));
@@ -826,7 +804,7 @@ mod tests {
     fn recorder_find_returns_the_full_trace() {
         let rec = FlightRecorder::default();
         let ctx = TraceCtx::begin("GET /y", None);
-        let id = ctx.trace_id();
+        let id = ctx.inner.trace_id;
         ctx.set_status(200);
         ctx.finish(&rec);
         let found = rec.find(id).expect("trace retained");

@@ -105,12 +105,7 @@ grep '"kind":"access"' "$WORK/serve.log" | grep -q "$TRACE"
 client "$URL" traces >"$WORK/traces.json"
 "$BIN/mlpsim" telemetry-report --traces "$WORK/traces.json" >"$WORK/traces_report.txt"
 grep -q "Traces" "$WORK/traces_report.txt"
-
-# Per-phase request histograms appear on the scrape.
-client "$URL" metrics >"$WORK/metrics2.txt"
-grep -q 'mlpsim_request_phase_queue_wait_ms_count' "$WORK/metrics2.txt"
-grep -q 'mlpsim_request_phase_run_ms_count' "$WORK/metrics2.txt"
-echo "   trace id end-to-end: span tree, chrome export, access log, histograms"
+echo "   trace id end-to-end: span tree, chrome export, access log"
 
 # --- 3: cancel a running job ---------------------------------------------
 echo "== cancel a running job"

@@ -3,11 +3,12 @@
 //! Differential test of the planner's trace characterizer
 //! (`mlpsim_model::characterize::profile_trace`) against a naive
 //! reference: one `Vec` recency list for the whole stream and one per
-//! set, an ordered popularity map, and the same L1 `CacheModel` filter.
-//! The reference finds every stack distance by a linear search of its
-//! list and keeps distances uncapped, so it shares no data structure with
-//! the fast path (dense ids, Fenwick stack, capped recency rows). Every
-//! field the estimators read must agree exactly, floats bit for bit.
+//! set, an ordered set of the lines seen, and the same L1 `CacheModel`
+//! filter. The reference finds every stack distance by a linear search
+//! of its list and keeps distances uncapped, so it shares no data
+//! structure with the fast path (dense ids, Fenwick stack, capped recency
+//! rows). Every field the estimator reads must agree exactly, floats bit
+//! for bit.
 
 use mlpsim::cache::addr::LineAddr;
 use mlpsim::cache::lru::LruEngine;
@@ -17,9 +18,8 @@ use mlpsim::trace::spec::SpecBench;
 use mlpsim_model::characterize::{
     profile_trace, CharacterizeConfig, HistBucket, TraceProfile, SET_WAY_CAP,
 };
-use mlpsim_model::zipf;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// What the naive walk extracts from a trace.
 struct Reference {
@@ -30,7 +30,7 @@ struct Reference {
     hist: BTreeMap<u64, u64>,
     /// Per reference set count: uncapped set-local distance → reuses.
     set_hists: Vec<(u32, BTreeMap<u64, u64>)>,
-    popularity: BTreeMap<u64, u64>,
+    lines: BTreeSet<u64>,
 }
 
 /// Move `line` to the front of `list`; its previous position, if any, is
@@ -64,7 +64,7 @@ fn reference(trace: &Trace, cfg: &CharacterizeConfig) -> Reference {
             .iter()
             .map(|&s| (s, BTreeMap::new()))
             .collect(),
-        popularity: BTreeMap::new(),
+        lines: BTreeSet::new(),
     };
     for (seq, a) in (1u64..).zip(trace.iter()) {
         r.raw_accesses += 1;
@@ -75,7 +75,7 @@ fn reference(trace: &Trace, cfg: &CharacterizeConfig) -> Reference {
             }
         }
         r.accesses += 1;
-        *r.popularity.entry(a.line).or_insert(0) += 1;
+        r.lines.insert(a.line);
         match touch(&mut global, a.line) {
             Some(d) => *r.hist.entry(d).or_insert(0) += 1,
             None => r.cold += 1,
@@ -115,11 +115,7 @@ fn diff(p: &TraceProfile, r: &Reference, cfg: &CharacterizeConfig) -> Option<Str
         ("raw_accesses", p.raw_accesses, r.raw_accesses),
         ("accesses", p.accesses, r.accesses),
         ("cold", p.cold, r.cold),
-        (
-            "distinct_lines",
-            p.distinct_lines,
-            r.popularity.len() as u64,
-        ),
+        ("distinct_lines", p.distinct_lines, r.lines.len() as u64),
         ("hist.total", p.hist.total(), r.hist.values().sum()),
     ];
     for (name, got, want) in scalars {
@@ -162,17 +158,6 @@ fn diff(p: &TraceProfile, r: &Reference, cfg: &CharacterizeConfig) -> Option<Str
                 return Some(format!("sets {sets} lru_misses({w})"));
             }
         }
-    }
-    let counts: Vec<u64> = r.popularity.values().copied().collect();
-    let z = zipf::fit(&counts);
-    let fits = [
-        (p.zipf.alpha.to_bits(), z.alpha.to_bits()),
-        (p.zipf.r2.to_bits(), z.r2.to_bits()),
-        (p.zipf.distinct, z.distinct),
-        (p.zipf.total, z.total),
-    ];
-    if fits.iter().any(|(a, b)| a != b) {
-        return Some("zipf".into());
     }
     None
 }
