@@ -270,9 +270,6 @@ impl HybridEngine {
             self.stats.psel_decrements = self.stats.psel_decrements.saturating_add(1);
         }
         let psel = *psel;
-        if !self.sink.enabled() {
-            return;
-        }
         let unit = self.name();
         let (side, delta) = if lin_wins {
             ("atd_lru_miss", i64::from(cost))
@@ -282,14 +279,14 @@ impl HybridEngine {
             ("leader_lin_miss", i64::from(cost).wrapping_neg())
         };
         let index = crate::convert::idx_u64(index);
-        self.sink.emit(Event::LeaderDivergence {
+        self.sink.emit_with(|| Event::LeaderDivergence {
             unit: unit.to_string(),
             side: side.to_string(),
             line: line.0,
             cost_q: cost,
             seq,
         });
-        self.sink.emit(Event::PselUpdate {
+        self.sink.emit_with(|| Event::PselUpdate {
             unit: unit.to_string(),
             index,
             delta,
@@ -299,7 +296,7 @@ impl HybridEngine {
             seq,
         });
         if psel.msb_set() != msb_before {
-            self.sink.emit(Event::PselFlip {
+            self.sink.emit_with(|| Event::PselFlip {
                 unit: unit.to_string(),
                 index,
                 msb: psel.msb_set(),

@@ -138,13 +138,32 @@ proptest! {
         }
     }
 
-    /// PSEL stays within [0, 2^bits) under any update sequence.
+    /// PSEL is a `bits`-wide saturating counter: after every update its
+    /// value, MSB and saturation flag equal an `i64` clamp model's. An
+    /// amount is a full-range `u32` shifted right by 0..32 bits, so
+    /// small steps and amounts up to `u32::MAX` both occur.
     #[test]
-    fn psel_is_bounded(bits in 1u32..12, updates in prop::collection::vec((prop::bool::ANY, 0u32..8), 0..200)) {
+    fn psel_is_bounded(
+        bits in 1u32..=31,
+        updates in prop::collection::vec((prop::bool::ANY, 0u32..=u32::MAX, 0u32..32), 0..200)
+    ) {
         let mut p = Psel::new(bits);
-        for (up, amount) in updates {
-            if up { p.inc_by(amount) } else { p.dec_by(amount) }
-            prop_assert!(p.value() <= p.max());
+        let max = (1i64 << bits) - 1;
+        let half = 1i64 << (bits - 1);
+        let mut model = half - 1;
+        for (up, raw, shift) in updates {
+            let amount = raw >> shift;
+            if up {
+                p.inc_by(amount);
+                model = (model + i64::from(amount)).clamp(0, max);
+            } else {
+                p.dec_by(amount);
+                model = (model - i64::from(amount)).clamp(0, max);
+            }
+            prop_assert_eq!(i64::from(p.value()), model);
+            prop_assert_eq!(i64::from(p.max()), max);
+            prop_assert_eq!(p.msb_set(), model >= half);
+            prop_assert_eq!(p.is_saturated(), model == 0 || model == max);
         }
     }
 

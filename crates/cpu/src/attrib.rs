@@ -44,7 +44,7 @@ struct SlotTag {
 }
 
 /// One flushed attribution: the system emits a `stall_attrib` event from
-/// this when a probe is attached.
+/// this when an enabled sink is attached.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AttribCharge {
     /// Block address of the serviced miss.

@@ -62,7 +62,7 @@ pub struct SimResult {
     pub samples: Vec<Sample>,
     /// Stall-cycle attribution ledger — `mem_stall_cycles` partitioned
     /// exactly over (set, cost_q, policy) keys (see `mlpsim-cpu::attrib`).
-    /// `Some` when a probe was attached or debug assertions are on.
+    /// `Some` when an enabled sink was attached or debug assertions are on.
     pub stall_ledger: Option<StallLedger>,
     /// The L2 engine's final diagnostic state (PSEL values and adaptation
     /// counters for hybrid policies), if it exposes one.

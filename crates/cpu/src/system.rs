@@ -39,7 +39,7 @@ use mlpsim_cache::policy::ReplacementEngine;
 use mlpsim_core::ccl::Ccl;
 use mlpsim_core::quant::quantize;
 use mlpsim_mem::{MemorySystem, Mshr};
-use mlpsim_telemetry::{Event, NoProbe, Probe};
+use mlpsim_telemetry::{Event, SinkHandle, SinkProbe};
 use mlpsim_trace::record::{Access, AccessKind};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -64,13 +64,12 @@ pub const LONG_STALL_CYCLES: u64 = 150;
 /// assert_eq!(result.l2.misses, 1);
 /// assert!((result.mean_cost() - 444.0).abs() < 0.5);
 /// ```
-pub struct System<P: Probe = NoProbe> {
+pub struct System {
     cfg: SystemConfig,
-    /// Telemetry probe. With the default [`NoProbe`] every emission site
-    /// is statically dead code (`P::ENABLED` is a `const false`), so the
-    /// uninstrumented system compiles to the same machine code as before
-    /// the telemetry layer existed.
-    probe: P,
+    /// Telemetry handle, shared with the L2 and the MSHR file. Disabled
+    /// for [`System::new`]: every emission site is then one null-check
+    /// and builds no event.
+    sink: SinkHandle,
     l1: Option<CacheModel>,
     /// Optional instruction-fetch model: the I-cache and the synthetic
     /// code walker.
@@ -110,7 +109,7 @@ pub struct System<P: Probe = NoProbe> {
     last_retire_cycle: u64,
     sampler: Option<Sampler>,
     /// Stall-cycle attribution (see [`crate::attrib`]). `Some` when the
-    /// probe is enabled or debug assertions are on; `None` otherwise, so
+    /// sink is enabled or debug assertions are on; `None` otherwise, so
     /// the uninstrumented release hot path carries no tracker work.
     attrib: Option<AttribTracker>,
     policy_label: String,
@@ -120,44 +119,40 @@ impl System {
     /// Builds a system from a configuration (the L2 engine is instantiated
     /// from `cfg.policy`).
     pub fn new(cfg: SystemConfig) -> Self {
-        System::with_probe(cfg, NoProbe)
+        System::with_probe(cfg, SinkProbe::new(SinkHandle::disabled()))
     }
 
     /// Builds a system with an explicit L2 replacement engine (used for
     /// oracle policies like Belady's OPT that need trace preprocessing).
     pub fn with_l2_engine(cfg: SystemConfig, engine: Box<dyn ReplacementEngine>) -> Self {
         let label = engine.name().to_string();
-        System::with_l2_engine_labeled(cfg, engine, label, NoProbe)
+        System::with_l2_engine_labeled(cfg, engine, label, SinkHandle::disabled())
     }
-}
 
-impl<P: Probe> System<P> {
     /// Builds an instrumented system: every subsystem streams events into
-    /// `probe` (the L2 and MSHR get clones of the probe's sink handle so
-    /// their events interleave with the core's in one stream).
-    pub fn with_probe(cfg: SystemConfig, probe: P) -> Self {
+    /// `probe`'s handle (the L2 and MSHR get clones of it so their events
+    /// interleave with the core's in one stream).
+    pub fn with_probe(cfg: SystemConfig, probe: SinkProbe) -> Self {
         let engine = cfg.policy.build(cfg.l2);
         let label = cfg.policy.label();
-        System::with_l2_engine_labeled(cfg, engine, label, probe)
+        System::with_l2_engine_labeled(cfg, engine, label, probe.into_handle())
     }
 
     fn with_l2_engine_labeled(
         cfg: SystemConfig,
         engine: Box<dyn ReplacementEngine>,
         label: String,
-        probe: P,
+        sink: SinkHandle,
     ) -> Self {
         let l1 = cfg
             .l1
             .map(|g| CacheModel::new(g, Box::new(mlpsim_cache::lru::LruEngine::new())));
         let mut l2 = CacheModel::new(cfg.l2, engine);
         let mut mshr = Mshr::new(cfg.mem.mshr_entries);
-        if P::ENABLED {
-            // Only the L2 (the cache under study) is wired: L1 hit events
-            // would dominate the stream without informing any report.
-            l2.set_sink(probe.sink(), 2);
-            mshr.attach_sink(probe.sink());
-        }
+        // Only the L2 (the cache under study) is wired: L1 hit events
+        // would dominate the stream without informing any report.
+        l2.set_sink(sink.clone(), 2);
+        mshr.attach_sink(sink.clone());
         let sampler = cfg.sample_interval.map(Sampler::new);
         let mut ccl = Ccl::new(cfg.adders);
         // In stall-only accounting (footnote 4) the gate is opened just
@@ -174,10 +169,10 @@ impl<P: Probe> System<P> {
             .wrong_path
             .map(|w| w.interval_insts.max(1))
             .unwrap_or(u64::MAX);
-        // The attribution ledger rides the probe: it feeds `stall_attrib`/
+        // The attribution ledger rides the sink: it feeds `stall_attrib`/
         // `stall_span` events when telemetry is on, and its reconciliation
         // invariant is checked on every run in builds with debug assertions.
-        let attrib = (P::ENABLED || cfg!(debug_assertions))
+        let attrib = (sink.enabled() || cfg!(debug_assertions))
             .then(|| AttribTracker::new(cfg.mem.mshr_entries));
         System {
             l1,
@@ -214,7 +209,7 @@ impl<P: Probe> System<P> {
             sampler,
             policy_label: label,
             cfg,
-            probe,
+            sink,
         }
     }
 
@@ -223,7 +218,7 @@ impl<P: Probe> System<P> {
     where
         I: IntoIterator<Item = &'a Access>,
     {
-        self.probe.emit(|| Event::RunStart {
+        self.sink.emit_with(|| Event::RunStart {
             label: self.policy_label.clone(),
             policy: self.l2.policy_name().to_string(),
             cycle: self.now,
@@ -460,7 +455,7 @@ impl<P: Probe> System<P> {
                 // Wrong-path merges never promote: a speculative touch is
                 // no evidence the line is wanted.
                 self.mshr.merge(id);
-                self.probe.emit(|| Event::MshrMerge {
+                self.sink.emit_with(|| Event::MshrMerge {
                     cycle: self.now,
                     line: line.0,
                     promoted: false,
@@ -575,7 +570,7 @@ impl<P: Probe> System<P> {
         self.mshr.merge(id);
         let promoted = !self.mshr.entry(id).is_demand;
         self.promote_if_prefetch(id);
-        self.probe.emit(|| Event::MshrMerge {
+        self.sink.emit_with(|| Event::MshrMerge {
             cycle: self.now,
             line: self.mshr.entry(id).line.0,
             promoted,
@@ -702,7 +697,7 @@ impl<P: Probe> System<P> {
                     span_head_line = head.line;
                     if stall >= LONG_STALL_CYCLES {
                         self.stall_episodes = self.stall_episodes.saturating_add(1);
-                        self.probe.emit(|| Event::Stall {
+                        self.sink.emit_with(|| Event::Stall {
                             cycle: self.now,
                             len: stall,
                         });
@@ -758,7 +753,7 @@ impl<P: Probe> System<P> {
 
     /// Closes the attribution span at the (post-advance) current cycle:
     /// charges the tail interval, folds any zero-demand residual into the
-    /// span head's key, and mirrors both as events when a probe is on.
+    /// span head's key, and mirrors both as events when the sink is on.
     fn close_stall_span(&mut self) {
         let Some(tracker) = &mut self.attrib else {
             return;
@@ -770,7 +765,7 @@ impl<P: Probe> System<P> {
             // The residual lands under the span's resolved bucket (the
             // head's cost_q when its entry freed mid-span, else the
             // fallback 0 both it and the span use).
-            self.probe.emit(|| Event::StallAttrib {
+            self.sink.emit_with(|| Event::StallAttrib {
                 cycle: self.now,
                 line: c.line,
                 set: c.set,
@@ -779,7 +774,7 @@ impl<P: Probe> System<P> {
                 cycles: c.cycles,
             });
         }
-        self.probe.emit(|| span);
+        self.sink.emit_with(|| span);
     }
 
     /// Moves time to `t`: services fills due by then, retires, samples.
@@ -845,7 +840,7 @@ impl<P: Probe> System<P> {
                 // clearing the slot's tag keeps reuse sound.
                 let flushed = tracker.flush_slot(id.0, eline, ecost);
                 if let Some(c) = flushed {
-                    self.probe.emit(|| Event::StallAttrib {
+                    self.sink.emit_with(|| Event::StallAttrib {
                         cycle: done,
                         line: c.line,
                         set: c.set,
@@ -862,7 +857,7 @@ impl<P: Probe> System<P> {
                 self.cost_hist.record(cost);
                 self.deltas.observe(entry.line.0, cost);
                 self.l2.record_serviced_cost(entry.line, q);
-                self.probe.emit(|| Event::Serviced {
+                self.sink.emit_with(|| Event::Serviced {
                     line: entry.line.0,
                     cycle: done,
                     cost,
@@ -886,7 +881,7 @@ impl<P: Probe> System<P> {
             Some(s) => s.tick(self.retired, self.now, misses),
             None => 0,
         };
-        if P::ENABLED && new_samples > 0 {
+        if self.sink.enabled() && new_samples > 0 {
             #[expect(
                 clippy::arithmetic_side_effects,
                 reason = "tick() just appended new_samples samples"
@@ -900,7 +895,7 @@ impl<P: Probe> System<P> {
                 all[all.len() - new_samples..].to_vec()
             };
             for sm in fresh {
-                self.probe.emit(|| Event::Sample {
+                self.sink.emit_with(|| Event::Sample {
                     instructions: sm.instructions,
                     cycle: self.now,
                     ipc: sm.ipc,
@@ -941,7 +936,7 @@ impl<P: Probe> System<P> {
                 self.mem_stall_cycles
             );
         }
-        self.probe.emit(|| Event::RunEnd {
+        self.sink.emit_with(|| Event::RunEnd {
             label: self.policy_label.clone(),
             policy: self.l2.policy_name().to_string(),
             cycle: self.last_retire_cycle,
@@ -950,9 +945,7 @@ impl<P: Probe> System<P> {
             peak_mlp: self.mshr.peak_demand() as u64,
             mem_stall_cycles: self.mem_stall_cycles,
         });
-        if P::ENABLED {
-            self.probe.sink().flush();
-        }
+        self.sink.flush();
         let policy_debug = self.l2.engine_debug_state();
         SimResult {
             policy: self.policy_label,

@@ -136,14 +136,19 @@ fn icache_path_matches() {
 
 #[test]
 fn uninstrumented_results_match_too() {
-    // `System::new` (NoProbe) drops the attribution tracker in release
-    // builds — a different hot path worth covering there; debug builds
-    // keep it, so finalize checks the ledger reconciliation.
+    // `System::new` (a disabled sink) builds no attribution tracker in
+    // release builds — a different hot path worth covering there; debug
+    // builds keep it, so finalize checks the ledger reconciliation.
     let trace = fig5_trace(SpecBench::Mcf);
     let cfg = SystemConfig::baseline(PolicyKind::lin4());
     let mut legacy_cfg = cfg.clone();
     legacy_cfg.legacy_stepping = true;
     let fast = System::new(cfg).run(trace.iter());
     let slow = System::new(legacy_cfg).run(trace.iter());
+    assert_eq!(
+        fast.stall_ledger.is_some(),
+        cfg!(debug_assertions),
+        "no attribution tracker without a sink, except to check the ledger in debug builds"
+    );
     assert_eq!(fast, slow);
 }

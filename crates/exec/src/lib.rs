@@ -22,6 +22,5 @@
 pub mod pool;
 
 pub use pool::{
-    default_jobs, jobs_from_var, map_ordered, CancelToken, Cancelled, SpanHook, WorkerPool,
-    JOBS_ENV,
+    default_jobs, jobs_from_var, CancelToken, Cancelled, SpanHook, WorkerPool, JOBS_ENV,
 };

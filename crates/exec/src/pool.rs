@@ -356,16 +356,6 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>) {
     }
 }
 
-/// One-shot convenience: run `jobs` on a transient pool of `threads`
-/// workers and return the results in submission order.
-pub fn map_ordered<T, F>(threads: usize, jobs: Vec<F>) -> Vec<T>
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    WorkerPool::new(threads).map_ordered(jobs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,13 +379,13 @@ mod tests {
 
     #[test]
     fn single_thread_pool_is_just_a_loop() {
-        let out = map_ordered(1, (0..8).map(|i| move || i + 1).collect());
+        let out = WorkerPool::new(1).map_ordered((0..8).map(|i| move || i + 1).collect());
         assert_eq!(out, vec![1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
     #[test]
     fn empty_job_list() {
-        let out: Vec<u8> = map_ordered(3, Vec::<fn() -> u8>::new());
+        let out: Vec<u8> = WorkerPool::new(3).map_ordered(Vec::<fn() -> u8>::new());
         assert!(out.is_empty());
     }
 

@@ -4,7 +4,7 @@
 //! thread count, and any per-job completion skew, `map_ordered` must
 //! return exactly the serial `map` result.
 
-use mlpsim_exec::{map_ordered, WorkerPool};
+use mlpsim_exec::WorkerPool;
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -29,7 +29,7 @@ proptest! {
                 }
             })
             .collect();
-        let got = map_ordered(threads, jobs);
+        let got = WorkerPool::new(threads).map_ordered(jobs);
         prop_assert_eq!(got, expected);
     }
 

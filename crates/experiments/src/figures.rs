@@ -701,7 +701,7 @@ pub fn try_planned_sweep_report(
     for (bi, bench) in benches.iter().enumerate() {
         for (pi, policy) in policies.iter().enumerate() {
             let s = score_cell(&profiles[bi], geometry, &policy.label(), margin);
-            opts.telemetry.emit(Event::PlanCell {
+            opts.telemetry.emit_with(|| Event::PlanCell {
                 bench: bench.name().to_string(),
                 policy: policy.label(),
                 est_miss_rate: s.estimate.miss_rate,
@@ -750,7 +750,7 @@ pub fn try_planned_sweep_report(
         out,
         "plan: {total} cells, pruned {pruned} ({pct:.1}%), simulating {surviving}\n"
     );
-    opts.telemetry.emit(Event::PlanSummary {
+    opts.telemetry.emit_with(|| Event::PlanSummary {
         cells: total as u64,
         pruned: pruned as u64,
         simulated: surviving as u64,

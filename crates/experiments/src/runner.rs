@@ -348,7 +348,7 @@ fn run_cells(
         .into_iter()
         .map(|(result, events)| {
             for ev in events {
-                telemetry.emit(ev);
+                telemetry.emit_with(|| ev);
             }
             result
         })
@@ -358,15 +358,15 @@ fn run_cells(
 /// Simulates one cell, buffering its telemetry (if `buffer`) for in-order
 /// replay by the submitting thread.
 fn run_cell(trace: &Trace, cfg: SystemConfig, buffer: bool) -> (SimResult, Vec<Event>) {
-    if buffer {
-        let buf = Arc::new(Mutex::new(VecSink::new()));
-        let handle = SinkHandle::shared(Arc::clone(&buf) as Arc<Mutex<dyn EventSink + Send>>);
-        let result = System::with_probe(cfg, SinkProbe::new(handle)).run(trace.iter());
-        let events = std::mem::take(&mut buf.lock().expect("buffer sink lock").events);
-        (result, events)
-    } else {
-        (System::new(cfg).run(trace.iter()), Vec::new())
-    }
+    let buf = buffer.then(|| Arc::new(Mutex::new(VecSink::new())));
+    let handle = buf.as_ref().map_or_else(SinkHandle::disabled, |b| {
+        SinkHandle::shared(Arc::clone(b) as Arc<Mutex<dyn EventSink + Send>>)
+    });
+    let result = System::with_probe(cfg, SinkProbe::new(handle)).run(trace.iter());
+    let events = buf.map_or_else(Vec::new, |b| {
+        std::mem::take(&mut b.lock().expect("buffer sink lock").events)
+    });
+    (result, events)
 }
 
 #[cfg(test)]

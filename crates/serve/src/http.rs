@@ -11,7 +11,7 @@
 //! client.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::time::Duration;
 
 /// Upper bound on request bodies (a job spec is well under 1 KiB; a
@@ -21,6 +21,9 @@ pub const MAX_BODY: usize = 1 << 20;
 /// Upper bound on the request head: the request line plus the header
 /// section, read through a reader that stops here.
 const MAX_HEAD: u64 = 64 * 1024;
+
+/// Upper bound on the input [`close_refused`] discards: one body's worth.
+const DRAIN_CAP: u64 = MAX_BODY as u64;
 
 /// One parsed request.
 #[derive(Debug)]
@@ -143,6 +146,39 @@ fn head_line(head: &mut io::Take<&mut BufReader<&mut TcpStream>>) -> Result<Stri
         return Err(HttpError::Malformed("request head too large".into()));
     }
     String::from_utf8(line).map_err(|_| HttpError::Malformed("request head is not UTF-8".into()))
+}
+
+/// Closes a connection whose request was refused with input still unread
+/// (an oversized or malformed head, a body over [`MAX_BODY`]), after the
+/// response is written. Closing with unread input makes the kernel reset
+/// the connection, which can destroy the response before the client reads
+/// it. So the write half is shut first (the client sees the response end
+/// in EOF), then input is discarded until the client closes, up to one
+/// body's worth of bytes ([`MAX_BODY`]) and the socket's read timeout in
+/// all. Input past either bound may still be reset.
+pub fn close_refused(stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let Ok(Some(timeout)) = stream.read_timeout() else {
+        return;
+    };
+    let timeout_ns = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX);
+    let deadline = crate::host_ns().saturating_add(timeout_ns);
+    let mut buf = [0u8; 8192];
+    let mut left = DRAIN_CAP;
+    while left > 0 {
+        let remaining = deadline.saturating_sub(crate::host_ns());
+        if remaining == 0
+            || stream
+                .set_read_timeout(Some(Duration::from_nanos(remaining)))
+                .is_err()
+        {
+            return;
+        }
+        match Read::take(stream, left).read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => left = left.saturating_sub(n as u64),
+        }
+    }
 }
 
 /// Reason phrase for the status codes this server emits.

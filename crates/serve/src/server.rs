@@ -290,11 +290,13 @@ fn serve_request(
         Err(HttpError::TooLarge) => {
             let _ = respond_json(stream, 413, &err_json("request body too large"));
             finish_rejected(state, t0_ns, 413);
+            http::close_refused(stream);
             return;
         }
         Err(HttpError::Malformed(m)) => {
             let _ = respond_json(stream, 400, &err_json(&m));
             finish_rejected(state, t0_ns, 400);
+            http::close_refused(stream);
             return;
         }
         Err(HttpError::Io(_)) => return, // stalled or vanished client

@@ -237,9 +237,9 @@ fn full_queue_backpressures_with_retry_after() {
 }
 
 /// Writes `raw` on a fresh connection that stays open, and returns what
-/// the server sent back before it closed. A reset after the reply is
-/// expected: the server stops reading at its cap and closes with bytes
-/// unread.
+/// the server sent back before it closed. The reply must end in a clean
+/// EOF: the server discards the input it refused rather than resetting
+/// the connection, so a read error fails the test.
 fn raw_exchange(url: &str, raw: &[u8]) -> String {
     use std::io::{Read, Write};
     let mut s = std::net::TcpStream::connect(client::host_of(url)).unwrap();
@@ -247,13 +247,8 @@ fn raw_exchange(url: &str, raw: &[u8]) -> String {
         .unwrap();
     s.write_all(raw).unwrap();
     let mut reply = Vec::new();
-    let mut buf = [0u8; 4096];
-    while let Ok(n) = s.read(&mut buf) {
-        if n == 0 {
-            break;
-        }
-        reply.extend_from_slice(&buf[..n]);
-    }
+    s.read_to_end(&mut reply)
+        .expect("the reply ends in a clean EOF, not a reset");
     String::from_utf8_lossy(&reply).into_owned()
 }
 
@@ -283,6 +278,28 @@ fn a_head_without_a_newline_past_the_cap_gets_a_400() {
     let reply = raw_exchange(&srv.url, &raw);
     assert!(reply.starts_with("HTTP/1.1 400"), "{reply:?}");
     assert!(reply.contains("request head too large"), "{reply:?}");
+    assert_one_refusal_traced(&srv.url);
+
+    srv.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_body_over_the_cap_gets_a_413() {
+    let dir = tmp_dir("body-cap");
+    let srv = TestServer::start(&dir, 8);
+
+    // A declared length past the cap, with the first 256 KiB of the body
+    // already sent: the server refuses without reading the rest.
+    let mut raw = format!(
+        "POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        mlpsim_serve::http::MAX_BODY + 1
+    )
+    .into_bytes();
+    raw.resize(raw.len() + 256 * 1024, b'x');
+    let reply = raw_exchange(&srv.url, &raw);
+    assert!(reply.starts_with("HTTP/1.1 413"), "{reply:?}");
+    assert!(reply.contains("request body too large"), "{reply:?}");
     assert_one_refusal_traced(&srv.url);
 
     srv.stop();

@@ -1,6 +1,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-//! Zero-cost telemetry for the MLP-aware cache replacement simulator.
+//! Telemetry for the MLP-aware cache replacement simulator.
 //!
 //! The paper's argument (Qureshi et al., ISCA 2006) rests on *internal*
 //! dynamics — MSHR occupancy driving mlp-cost, PSEL oscillation in the
@@ -9,19 +9,11 @@
 //! structured event stream without taxing the simulator when observation is
 //! off.
 //!
-//! Two layers, for two kinds of call sites:
-//!
-//! - **Compile-time** ([`Probe`]): the CPU pipeline (`System<P: Probe>`) is
-//!   generic over a probe. The default [`NoProbe`] has
-//!   `Probe::ENABLED == false`, and `Probe::emit` takes a closure that it
-//!   runs only when the probe is on, so every `probe.emit(|| ..)` —
-//!   including event construction — is dead code the optimizer removes. `System::new` keeps its exact pre-telemetry signature via a
-//!   default type parameter.
-//! - **Runtime** ([`SinkHandle`]): subsystems living behind
-//!   `Box<dyn ReplacementEngine>` (and plain structs like `Mshr`) cannot be
-//!   generic without an invasive rewrite, so they hold a cloneable handle
-//!   that is `None` unless telemetry was requested; the cost when disabled
-//!   is one pointer null-check on paths that already miss the cache.
+//! One hook, [`SinkHandle`]: `System`, the replacement engines behind
+//! `Box<dyn ReplacementEngine>`, `CacheModel` and `Mshr` all hold clones
+//! of the handle a run was built with, so their events interleave in one
+//! stream. A disabled handle is `None`: [`SinkHandle::emit_with`] costs
+//! one null-check and never builds the event.
 //!
 //! Events serialize to NDJSON — one self-describing JSON object per line,
 //! with a `"type"` discriminator — via a hand-rolled encoder/parser
@@ -44,7 +36,6 @@
 pub mod attrib;
 pub mod event;
 pub mod json;
-pub mod probe;
 pub mod prof;
 pub mod registry;
 pub mod sink;
@@ -54,9 +45,10 @@ pub mod traceevent;
 pub use attrib::{exact_share, LedgerKey, StallLedger};
 pub use event::Event;
 pub use json::Json;
-pub use probe::{Enabled, NoProbe, Probe, SinkProbe};
 pub use registry::Registry;
-pub use sink::{read_ndjson, EventSink, FanoutSink, NdjsonSink, ServicedLog, SinkHandle, VecSink};
+pub use sink::{
+    read_ndjson, EventSink, FanoutSink, NdjsonSink, ServicedLog, SinkHandle, SinkProbe, VecSink,
+};
 pub use trace::{
     format_traceparent, parse_traceparent, CompletedTrace, FlightRecorder, SpanGuard, TraceCtx,
 };

@@ -23,7 +23,7 @@
 //!   workload generators.
 //! * [`analysis`] — histograms, delta analysis, the binomial leader-set
 //!   sampling model, and table rendering.
-//! * [`telemetry`] — the zero-cost probe layer: typed events, counter
+//! * [`telemetry`] — the sink handle: typed events, counter
 //!   registry, and NDJSON event streams (see the README's
 //!   "Observability" section).
 //!
